@@ -1,7 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 on success, 2 on configuration errors, 3 when an --assert
-threshold fails (CI mode).
+Exit codes: 0 on success, 2 on configuration errors (unknown config keys
+included), 3 when an --assert threshold fails (CI mode), 4 when more
+replicates fail to solve than the skip budget allows.  The --assert
+thresholds live in each kind's entry of `experiments.KINDS`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ import sys
 
 from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
 from .experiments import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
+    SkipBudgetError,
     run_experiment,
     write_records_jsonl,
     write_summary_csv,
@@ -196,64 +200,6 @@ def _cmd_variance(args) -> int:
     return 0
 
 
-def _assert_failures(result) -> list[str]:
-    """CI thresholds per experiment kind; returns failure descriptions."""
-    kind = result.config.kind
-    failures = []
-    rows = result.summary.get("rows", [])
-    if kind == "partial-fixed-K":
-        for row in rows:
-            target = row["removed_var_target"]
-            if not 0.8 * target <= row["removed_var"] <= 1.2 * target:
-                failures.append(
-                    f"n={row['n']}: removed_var {row['removed_var']:.4f} outside "
-                    f"20% of {target:.4f}"
-                )
-            if row["ks_p"] <= 0.001:
-                failures.append(f"n={row['n']}: KS p {row['ks_p']:.2e} <= 0.001")
-    elif kind == "partial-growing-K":
-        for row in rows:
-            target = row["target_var_re"]
-            if not 0.75 * target <= row["removed_var_re"] <= 1.25 * target:
-                failures.append(
-                    f"n={row['n']}: removed_var_re {row['removed_var_re']:.4f} outside "
-                    f"25% of {target:.4f}"
-                )
-            if row["ks_p"] <= 0.001:
-                failures.append(f"n={row['n']}: KS p {row['ks_p']:.2e} <= 0.001")
-    elif kind == "full-clt":
-        for row in rows:
-            target = row["target_var"]
-            if not 0.75 * target <= row["full_var"] <= 1.25 * target:
-                failures.append(
-                    f"n={row['n']}: full_var {row['full_var']:.4f} outside "
-                    f"25% of {target:.4f}"
-                )
-    elif kind == "wasserstein-decay":
-        means = [row["w1_mean"] for row in rows]
-        if any(b >= a for a, b in zip(means, means[1:])):
-            failures.append(f"mean W1 not strictly decreasing: {means}")
-        for row in rows:
-            if row["n"] >= 256 and row["frac_below_quarter_power"] < 1.0:
-                failures.append(
-                    f"n={row['n']}: only {row['frac_below_quarter_power']:.0%} of "
-                    "trials below n^(-1/4)"
-                )
-    elif kind == "local-law-cells":
-        for row in rows:
-            if row["max_normalized_discrepancy"] > 5.0:
-                failures.append(
-                    f"n={row['n']}: normalized discrepancy "
-                    f"{row['max_normalized_discrepancy']:.2f} > 5"
-                )
-            if not row["contained_count_ok"]:
-                failures.append(f"n={row['n']}: contained spectra missing grid mass")
-    elif kind == "thinning-bound":
-        if result.summary["violations"]:
-            failures.append(f"{result.summary['violations']} bound violations")
-    return failures
-
-
 def _cmd_experiment(args, kind: str) -> int:
     config = ExperimentConfig.from_dict(_load_config_dict(args, kind))
     result = run_experiment(config)
@@ -274,7 +220,7 @@ def _cmd_experiment(args, kind: str) -> int:
         write_summary_csv(args.summary, result)
 
     if getattr(args, "assert_mode", False):
-        failures = _assert_failures(result)
+        failures = KINDS[kind].gate(result.summary)
         if failures:
             for failure in failures:
                 print(f"ASSERT FAIL: {failure}", file=sys.stderr)
@@ -304,9 +250,10 @@ def main(argv=None) -> int:
             "thinning-bound": "thinning-bound",
         }
         return _cmd_experiment(args, kind_by_command[command])
-    except (ConfigError, DistributionError, FunctionLookupError, ValueError, OSError) as exc:
+    except (ConfigError, DistributionError, FunctionLookupError, ValueError, OSError,
+            SkipBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 4 if isinstance(exc, SkipBudgetError) else 2
 
 
 if __name__ == "__main__":

@@ -3,6 +3,11 @@
 Each pipeline draws all randomness from seeds derived per replicate and per
 stream (matrix draws and index-set draws are separate streams), so re-runs
 are byte-identical regardless of how many workers execute the replicates.
+
+Every kind runs the same path: `_replicate` samples each matrix, solves it
+scaled and hands the spectra to the kind's `measure`, and the runner
+summarizes the records per size.  `KINDS` holds each kind's seed streams,
+`measure`, `summarize` and `--assert` gate.
 """
 
 from __future__ import annotations
@@ -13,8 +18,9 @@ import json
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 from scipy.special import gammaln
@@ -33,25 +39,27 @@ from .stats import (
     sample_index_set,
     function_by_id,
 )
-from .transport import cell_counts, default_grid, w1_to_disk_samples
+from .transport import cell_counts, default_grid, w1_to_disk
 
 log = logging.getLogger(__name__)
-
-EXPERIMENT_KINDS = (
-    "partial-fixed-K",
-    "partial-growing-K",
-    "full-clt",
-    "wasserstein-decay",
-    "local-law-cells",
-    "thinning-bound",
-)
 
 # At most this fraction of replicates may be skipped due to solver failures.
 MAX_SKIP_FRACTION = 0.01
 
+# Config-file key of each field whose key differs from its name.
+_FILE_KEYS = {"f_id": "f"}
+# Conversions of config-file values, by the field's annotation; fields
+# annotated otherwise (str, int | None) are taken as given.
+_CASTS = {"int": int, "float": float, "bool": bool, "tuple": tuple,
+          "AtomDistribution": AtomDistribution.from_dict}
+
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
+
+
+class SkipBudgetError(RuntimeError):
+    """More replicates were skipped for solver failures than the budget allows."""
 
 
 @dataclass(frozen=True)
@@ -76,7 +84,7 @@ class ExperimentConfig:
     n_max: int = 60  # thinning-bound only
 
     def __post_init__(self):
-        if self.kind not in EXPERIMENT_KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if not self.n_list or any(int(n) < 1 for n in self.n_list):
             raise ConfigError("n_list must be a nonempty list of positive integers")
@@ -89,6 +97,8 @@ class ExperimentConfig:
             raise ConfigError("threads must be >= 1")
         if self.method not in ("sample", "lattice"):
             raise ConfigError(f"unknown wasserstein method {self.method!r}")
+        if self.kind == "thinning-bound" and self.n_max < 1:
+            raise ConfigError("n_max must be >= 1")
         if self.kind == "partial-fixed-K":
             k = 1 if self.k is None else self.k
             if k < 1 or any(k > n for n in self.n_list):
@@ -105,54 +115,34 @@ class ExperimentConfig:
 
     def k_for(self, n: int) -> int:
         """Thinning size at matrix size n under this configuration."""
-        if self.kind == "partial-fixed-K":
-            return self.k
-        if self.k is not None:
+        if self.k is not None:  # always set for partial-fixed-K
             return self.k
         return max(1, math.floor(n ** 0.25 / self.k_divisor))
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "ensemble": self.ensemble.to_dict(),
-            "n_list": list(self.n_list),
-            "k": self.k,
-            "k_divisor": self.k_divisor,
-            "allow_large_k": self.allow_large_k,
-            "f": self.f_id,
-            "replicates": self.replicates,
-            "base_seed": self.base_seed,
-            "method": self.method,
-            "w1_reps": self.w1_reps,
-            "grid_bound": self.grid_bound,
-            "n_max": self.n_max,
+        """Canonical JSON form: every field but `threads`, under its file key."""
+        d = {
+            _FILE_KEYS.get(f.name, f.name): getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "threads"
         }
+        d.update(ensemble=self.ensemble.to_dict(), n_list=list(self.n_list))
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        d = dict(d)
-        ensemble = d.get("ensemble", {"kind": "complex-gaussian"})
-        if isinstance(ensemble, dict):
-            ensemble = AtomDistribution.from_dict(ensemble)
-        try:
-            return cls(
-                kind=d["kind"],
-                ensemble=ensemble,
-                n_list=tuple(d.get("n_list", (256,))),
-                k=d.get("k"),
-                k_divisor=float(d.get("k_divisor", 1.2)),
-                allow_large_k=bool(d.get("allow_large_k", False)),
-                f_id=d.get("f", "re"),
-                replicates=int(d.get("replicates", 100)),
-                base_seed=int(d.get("base_seed", 1)),
-                threads=int(d.get("threads", 1)),
-                method=d.get("method", "sample"),
-                w1_reps=int(d.get("w1_reps", 1)),
-                grid_bound=float(d.get("grid_bound", 1.25)),
-                n_max=int(d.get("n_max", 60)),
-            )
-        except KeyError as exc:
-            raise ConfigError(f"missing config field: {exc}") from exc
+        """Inverse of `to_dict`, also accepting `threads`; other keys are errors."""
+        by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
+        unknown = sorted(set(d) - set(by_key))
+        if unknown:
+            raise ConfigError(f"unknown config field(s) {unknown}; known: {sorted(by_key)}")
+        if "kind" not in d:
+            raise ConfigError("missing config field: 'kind'")
+        kwargs = {
+            by_key[key].name: _CASTS.get(by_key[key].type, lambda x: x)(value)
+            for key, value in d.items()
+        }
+        return cls(**kwargs)
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -173,390 +163,276 @@ class ExperimentResult:
     summary: dict
 
 
-def _map_replicates(worker, arg_list, threads: int) -> list:
-    """Run `worker` over `arg_list`, results in submission order."""
-    if threads <= 1 or len(arg_list) <= 1:
-        return [worker(a) for a in arg_list]
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(worker, a) for a in arg_list]
-        return [f.result() for f in futures]
-
-
 # ---------------------------------------------------------------------------
-# Replicate workers (module level so process pools can pickle them)
+# The replicate path and the runner
 
-def _partial_replicate(args):
-    ens_dict, n, k, f_id, seed_matrix, seed_index = args
-    dist = AtomDistribution.from_dict(ens_dict)
-    f = function_by_id(f_id)
+def _replicate(args):
+    """One replicate: (record, None), or (None, reason) when a solve fails.
+
+    `seeds` maps each of the kind's seed fields to its derived seed.  Module
+    level so process pools can pickle it.
+    """
+    config, n, seeds = args
+    spec = KINDS[config.kind]
     try:
-        spectrum = eigenvalues(sample_matrix(dist, n, seed_matrix), scale=True)
+        spectra = [
+            eigenvalues(sample_matrix(dist or config.ensemble, n, seeds[name]), scale=True)
+            for name, dist in spec.solves
+        ]
     except EigensolverError as exc:
         return None, str(exc)
-    index_set = sample_index_set(n, k, seed_index)
-    kept, removed = partial_statistic(spectrum, f, index_set)
-    full = kept + removed
-    return (
-        {
-            "n": n,
-            "k": k,
-            "seed_matrix": seed_matrix,
-            "seed_index": seed_index,
-            "kept_re": kept.real,
-            "kept_im": kept.imag,
-            "removed_re": removed.real,
-            "removed_im": removed.imag,
-            "full_re": full.real,
-            "full_im": full.imag,
-        },
-        None,
-    )
+    return {"n": n, **seeds, **spec.measure(config, n, spectra, seeds)}, None
 
 
-def _full_clt_replicate(args):
-    ens_dict, n, f_id, seed_matrix = args
-    dist = AtomDistribution.from_dict(ens_dict)
-    f = function_by_id(f_id)
-    try:
-        spectrum = eigenvalues(sample_matrix(dist, n, seed_matrix), scale=True)
-    except EigensolverError as exc:
-        return None, str(exc)
-    full = linear_statistic(spectrum, f)
-    return (
-        {
-            "n": n,
-            "seed_matrix": seed_matrix,
-            "full_re": full.real,
-            "full_im": full.imag,
-        },
-        None,
-    )
+def _replicate_records(config: ExperimentConfig, n: int) -> list:
+    """Records of the replicates at size n in replicate order, failed solves dropped.
 
-
-def _wasserstein_replicate(args):
-    ens_dict, n, method, w1_reps, seed_matrix, seed_disk = args
-    dist = AtomDistribution.from_dict(ens_dict)
-    try:
-        spectrum = eigenvalues(sample_matrix(dist, n, seed_matrix), scale=True)
-    except EigensolverError as exc:
-        return None, str(exc)
-    if method == "lattice":
-        from .transport import w1_to_disk
-
-        value = w1_to_disk(spectrum.values, method="lattice")
+    Raises SkipBudgetError when more than MAX_SKIP_FRACTION of them failed.
+    """
+    streams = KINDS[config.kind].streams
+    args = [
+        (config, n, {
+            name: derive_seed(config.base_seed, config.kind, n, r, tag)
+            for name, tag in streams.items()
+        })
+        for r in range(config.replicates)
+    ]
+    if config.threads <= 1 or len(args) <= 1:
+        outcomes = [_replicate(a) for a in args]
     else:
-        value = float(w1_to_disk_samples(spectrum.values, w1_reps, seed_disk).mean())
-    return (
-        {
-            "n": n,
-            "method": method,
-            "seed_matrix": seed_matrix,
-            "seed_disk": seed_disk,
-            "w1": value,
-        },
-        None,
-    )
-
-
-def _local_law_replicate(args):
-    ens_dict, n, bound, seed_x, seed_g = args
-    dist = AtomDistribution.from_dict(ens_dict)
-    ginibre = AtomDistribution("complex-gaussian")
-    try:
-        spec_x = eigenvalues(sample_matrix(dist, n, seed_x), scale=True)
-        spec_g = eigenvalues(sample_matrix(ginibre, n, seed_g), scale=True)
-    except EigensolverError as exc:
-        return None, str(exc)
-    grid = default_grid(n, bound)
-    counts_x = cell_counts(spec_x.values, grid)
-    counts_g = cell_counts(spec_g.values, grid)
-    live = grid.cell_count  # real cells; the final entry is overflow
-    max_disc = int(np.max(np.abs(counts_x[:live] - counts_g[:live])))
-    return (
-        {
-            "n": n,
-            "seed_x": seed_x,
-            "seed_g": seed_g,
-            "max_cell_discrepancy": max_disc,
-            "normalized_discrepancy": max_disc / n ** 0.25,
-            "x_in_grid": int(counts_x[:live].sum()),
-            "g_in_grid": int(counts_g[:live].sum()),
-            "radius_x": spectral_radius(spec_x),
-            "radius_g": spectral_radius(spec_g),
-        },
-        None,
-    )
-
-
-# ---------------------------------------------------------------------------
-# Pipelines
-
-def _finalize_records(config, outcomes, base_fields) -> list:
-    """Attach replicate indices, drop failures, enforce the skip budget."""
-    records, skipped = [], 0
+        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+            outcomes = list(pool.map(_replicate, args))
+    records = []
     for replicate, (record, error) in enumerate(outcomes):
         if record is None:
-            skipped += 1
             log.warning("replicate %d skipped: %s", replicate, error)
-            continue
-        row = {"kind": config.kind, "replicate": replicate}
-        row.update(base_fields)
-        row.update(record)
-        records.append(row)
+        else:
+            records.append({"kind": config.kind, "replicate": replicate, **record})
+    skipped = len(outcomes) - len(records)
     if skipped > MAX_SKIP_FRACTION * len(outcomes):
-        raise RuntimeError(
+        raise SkipBudgetError(
             f"{skipped}/{len(outcomes)} replicates skipped; exceeding the "
             f"{MAX_SKIP_FRACTION:.0%} budget"
         )
     return records
 
 
+def run_experiment(config: ExperimentConfig) -> ExperimentResult:
+    """Records of every size in `config`, then the kind's summary of them."""
+    if config.kind == "thinning-bound":
+        sizes = [
+            (n, [{**_thinning_scan_for_n(n), "kind": config.kind}])
+            for n in range(1, config.n_max + 1)
+        ]
+    else:
+        sizes = [(n, _replicate_records(config, n)) for n in config.n_list]
+    records = [record for _, rows in sizes for record in rows]
+    return ExperimentResult(config, records, KINDS[config.kind].summarize(config, sizes))
+
+
+def _kind_checked(kind: str):
+    def run(config: ExperimentConfig) -> ExperimentResult:
+        if config.kind != kind:
+            raise ConfigError(f"expected kind {kind}, got {config.kind}")
+        return run_experiment(config)
+
+    run.__doc__ = f"`run_experiment` for a {kind} config; ConfigError for other kinds."
+    return run
+
+
+run_partial_fixed_K = _kind_checked("partial-fixed-K")
+run_partial_growing_K = _kind_checked("partial-growing-K")
+run_full_clt = _kind_checked("full-clt")
+run_wasserstein_decay = _kind_checked("wasserstein-decay")
+run_local_law_cells = _kind_checked("local-law-cells")
+run_thinning_bound = _kind_checked("thinning-bound")
+
+
+# ---------------------------------------------------------------------------
+# Per kind: measure (spectra to record fields), summary rows, --assert gate
+
+def _measure_partial(config, n, spectra, seeds):
+    """Kept and removed sums of f, removing a uniform K-subset drawn from its own stream."""
+    k = config.k_for(n)
+    index_set = sample_index_set(n, k, seeds["seed_index"])
+    kept, removed = partial_statistic(spectra[0], function_by_id(config.f_id), index_set)
+    full = kept + removed
+    return {
+        "f": config.f_id,
+        "k": k,
+        "kept_re": kept.real,
+        "kept_im": kept.imag,
+        "removed_re": removed.real,
+        "removed_im": removed.imag,
+        "full_re": full.real,
+        "full_im": full.imag,
+    }
+
+
+def _measure_full(config, n, spectra, seeds):
+    full = linear_statistic(spectra[0], function_by_id(config.f_id))
+    return {"f": config.f_id, "full_re": full.real, "full_im": full.imag}
+
+
+def _measure_w1(config, n, spectra, seeds):
+    w1 = w1_to_disk(spectra[0].values, config.method, config.w1_reps, seeds["seed_disk"])
+    return {"method": config.method, "w1": w1}
+
+
+def _measure_cells(config, n, spectra, seeds):
+    """Per-cell count discrepancy of X's spectrum against an independent Ginibre one."""
+    spec_x, spec_g = spectra
+    grid = default_grid(n, config.grid_bound)
+    live = grid.cell_count  # real cells; the final entry is overflow
+    counts_x = cell_counts(spec_x.values, grid)[:live]
+    counts_g = cell_counts(spec_g.values, grid)[:live]
+    max_disc = int(np.max(np.abs(counts_x - counts_g)))
+    return {
+        "max_cell_discrepancy": max_disc,
+        "normalized_discrepancy": max_disc / n ** 0.25,
+        "x_in_grid": int(counts_x.sum()),
+        "g_in_grid": int(counts_g.sum()),
+        "radius_x": spectral_radius(spec_x),
+        "radius_g": spectral_radius(spec_g),
+    }
+
+
 def _centered_variance(values: np.ndarray) -> float:
     return float(np.var(values - values.mean())) if values.size else 0.0
 
 
-def run_partial_fixed_K(config: ExperimentConfig) -> ExperimentResult:
-    """Thinned statistics with a fixed removal count K.
+def _per_size(row):
+    """Summarize with one `row(config, n, records)` per size."""
+    return lambda config, sizes: {"rows": [row(config, n, records) for n, records in sizes]}
 
-    Per replicate: sample a matrix, eigen-solve it scaled, draw a uniform
-    K-subset from an independent stream, and record the kept/removed sums.
-    The summary centers by cross-replicate means and compares the removed
-    part to the fixed-K limit law (two-sample KS, sigma2 = 0 side).
+
+def _fixed_k_row(config, n, rows):
+    """Removed part versus the fixed-K limit law.
+
+    Centers by cross-replicate means and compares the removed part to the
+    fixed-K limit law (two-sample KS, sigma2 = 0 side).
     """
-    if config.kind != "partial-fixed-K":
-        raise ConfigError(f"expected kind partial-fixed-K, got {config.kind}")
     f = function_by_id(config.f_id)
     moments = disk_moments(f)
-    records, summary_rows = [], []
-    for n in config.n_list:
-        k = config.k_for(n)
-        ens = config.ensemble.to_dict()
-        args = [
-            (
-                ens,
-                n,
-                k,
-                config.f_id,
-                derive_seed(config.base_seed, config.kind, n, r, "matrix"),
-                derive_seed(config.base_seed, config.kind, n, r, "index"),
-            )
-            for r in range(config.replicates)
-        ]
-        outcomes = _map_replicates(_partial_replicate, args, config.threads)
-        rows = _finalize_records(config, outcomes, {"f": config.f_id})
-        records.extend(rows)
-
-        removed = np.array([r["removed_re"] for r in rows])
-        kept = np.array([r["kept_re"] for r in rows])
-        limit = LimitSpec(
-            sigma2=0.0,
-            mean_f=moments.mean_f,
-            var_re=moments.var_re,
-            var_im=moments.var_im,
-            cov=moments.cov,
-            K=k,
-        )
-        # Removed-part limit is sum_i (f(U_i) - E f(U_i)): the negated
-        # sigma2=0 sampler output.
-        limit_samples = -limit_sampler_fixed_K(
-            limit, f, len(rows), derive_seed(config.base_seed, config.kind, n, 0, "limit")
-        ).real
-        ks_stat, ks_p = ks_two_sample(removed - removed.mean(), limit_samples)
-        summary_rows.append(
-            {
-                "n": n,
-                "k": k,
-                "replicates": len(rows),
-                "removed_mean": float(removed.mean()),
-                "removed_var": _centered_variance(removed),
-                "removed_var_target": k * moments.var_re,
-                "kept_var": _centered_variance(kept),
-                "ks_stat": ks_stat,
-                "ks_p": ks_p,
-            }
-        )
-    return ExperimentResult(config, records, {"rows": summary_rows})
+    k = config.k_for(n)
+    removed = np.array([r["removed_re"] for r in rows])
+    kept = np.array([r["kept_re"] for r in rows])
+    limit = LimitSpec(
+        sigma2=0.0,
+        mean_f=moments.mean_f,
+        var_re=moments.var_re,
+        var_im=moments.var_im,
+        cov=moments.cov,
+        K=k,
+    )
+    # Removed-part limit is sum_i (f(U_i) - E f(U_i)): the negated
+    # sigma2=0 sampler output.
+    limit_samples = -limit_sampler_fixed_K(
+        limit, f, len(rows), derive_seed(config.base_seed, config.kind, n, 0, "limit")
+    ).real
+    ks_stat, ks_p = ks_two_sample(removed - removed.mean(), limit_samples)
+    return {
+        "n": n,
+        "k": k,
+        "replicates": len(rows),
+        "removed_mean": float(removed.mean()),
+        "removed_var": _centered_variance(removed),
+        "removed_var_target": k * moments.var_re,
+        "kept_var": _centered_variance(kept),
+        "ks_stat": ks_stat,
+        "ks_p": ks_p,
+    }
 
 
-def run_partial_growing_K(config: ExperimentConfig) -> ExperimentResult:
-    """Thinned statistics normalized by sqrt(K) with K growing like n^(1/4).
+def _growing_k_row(config, n, rows):
+    """sqrt(K)-normalized parts versus the Gaussian disk-moment limit.
 
-    The summary compares the centered, sqrt(K)-normalized removed and kept
-    parts to the Gaussian limit with disk-moment covariances, including a
-    two-sample KS against Gaussian draws of the target variance.
+    Compares the centered, sqrt(K)-normalized removed and kept parts to the
+    Gaussian limit with disk-moment covariances, including a two-sample KS
+    against Gaussian draws of the target variance.
     """
-    if config.kind != "partial-growing-K":
-        raise ConfigError(f"expected kind partial-growing-K, got {config.kind}")
-    f = function_by_id(config.f_id)
-    moments = disk_moments(f)
-    records, summary_rows = [], []
-    for n in config.n_list:
-        k = config.k_for(n)
-        ens = config.ensemble.to_dict()
-        args = [
-            (
-                ens,
-                n,
-                k,
-                config.f_id,
-                derive_seed(config.base_seed, config.kind, n, r, "matrix"),
-                derive_seed(config.base_seed, config.kind, n, r, "index"),
-            )
-            for r in range(config.replicates)
-        ]
-        outcomes = _map_replicates(_partial_replicate, args, config.threads)
-        rows = _finalize_records(config, outcomes, {"f": config.f_id})
-        records.extend(rows)
-
-        sqrt_k = math.sqrt(k)
-        rem_re = np.array([r["removed_re"] for r in rows]) / sqrt_k
-        rem_im = np.array([r["removed_im"] for r in rows]) / sqrt_k
-        kept_re = np.array([r["kept_re"] for r in rows]) / sqrt_k
-        centered = rem_re - rem_re.mean()
-        rng = make_rng(derive_seed(config.base_seed, config.kind, n, 0, "gauss"))
-        gauss = math.sqrt(max(moments.var_re, 0.0)) * rng.standard_normal(len(rows))
-        ks_stat, ks_p = ks_two_sample(centered, gauss)
-        summary_rows.append(
-            {
-                "n": n,
-                "k": k,
-                "replicates": len(rows),
-                "removed_var_re": _centered_variance(rem_re),
-                "removed_var_im": _centered_variance(rem_im),
-                "removed_cov": float(
-                    np.mean(
-                        (rem_re - rem_re.mean()) * (rem_im - rem_im.mean())
-                    )
-                ),
-                "kept_var_re": _centered_variance(kept_re),
-                "target_var_re": moments.var_re,
-                "target_var_im": moments.var_im,
-                "target_cov": moments.cov,
-                "ks_stat": ks_stat,
-                "ks_p": ks_p,
-            }
-        )
-    return ExperimentResult(config, records, {"rows": summary_rows})
+    moments = disk_moments(function_by_id(config.f_id))
+    k = config.k_for(n)
+    sqrt_k = math.sqrt(k)
+    rem_re = np.array([r["removed_re"] for r in rows]) / sqrt_k
+    rem_im = np.array([r["removed_im"] for r in rows]) / sqrt_k
+    kept_re = np.array([r["kept_re"] for r in rows]) / sqrt_k
+    centered = rem_re - rem_re.mean()
+    rng = make_rng(derive_seed(config.base_seed, config.kind, n, 0, "gauss"))
+    gauss = math.sqrt(max(moments.var_re, 0.0)) * rng.standard_normal(len(rows))
+    ks_stat, ks_p = ks_two_sample(centered, gauss)
+    return {
+        "n": n,
+        "k": k,
+        "replicates": len(rows),
+        "removed_var_re": _centered_variance(rem_re),
+        "removed_var_im": _centered_variance(rem_im),
+        "removed_cov": float(np.mean(centered * (rem_im - rem_im.mean()))),
+        "kept_var_re": _centered_variance(kept_re),
+        "target_var_re": moments.var_re,
+        "target_var_im": moments.var_im,
+        "target_cov": moments.cov,
+        "ks_stat": ks_stat,
+        "ks_p": ks_p,
+    }
 
 
-def run_full_clt(config: ExperimentConfig) -> ExperimentResult:
+def _full_clt_row(config, n, rows):
     """Centered full linear statistic versus the limiting Gaussian variance."""
-    if config.kind != "full-clt":
-        raise ConfigError(f"expected kind full-clt, got {config.kind}")
     f = function_by_id(config.f_id)
     atom = atom_moments(config.ensemble)
     target = ginibre_variance(f, atom, real_atom=config.ensemble.is_real)
-    records, summary_rows = [], []
-    for n in config.n_list:
-        ens = config.ensemble.to_dict()
-        args = [
-            (
-                ens,
-                n,
-                config.f_id,
-                derive_seed(config.base_seed, config.kind, n, r, "matrix"),
-            )
-            for r in range(config.replicates)
-        ]
-        outcomes = _map_replicates(_full_clt_replicate, args, config.threads)
-        rows = _finalize_records(config, outcomes, {"f": config.f_id})
-        records.extend(rows)
-        full = np.array([r["full_re"] for r in rows])
-        summary_rows.append(
-            {
-                "n": n,
-                "replicates": len(rows),
-                "full_var": _centered_variance(full),
-                "target_var": target.sigma2,
-                "gradient_term": target.gradient_term,
-                "fourier_term": target.fourier_term,
-                "fourth_moment_term": target.fourth_moment_term,
-            }
-        )
-    return ExperimentResult(config, records, {"rows": summary_rows})
+    full = np.array([r["full_re"] for r in rows])
+    return {
+        "n": n,
+        "replicates": len(rows),
+        "full_var": _centered_variance(full),
+        "target_var": target.sigma2,
+        "gradient_term": target.gradient_term,
+        "fourier_term": target.fourier_term,
+        "fourth_moment_term": target.fourth_moment_term,
+    }
 
 
-def run_wasserstein_decay(config: ExperimentConfig) -> ExperimentResult:
-    """W1 from the scaled empirical spectrum to the disk law across sizes.
+def _w1_row(config, n, rows):
+    w1 = np.array([r["w1"] for r in rows])
+    return {
+        "n": n,
+        "trials": len(rows),
+        "w1_mean": float(w1.mean()),
+        "w1_std": float(w1.std()),
+        "frac_below_quarter_power": float(np.mean(w1 <= n ** -0.25)),
+    }
 
-    The summary reports per-size means, the log-log regression slope of the
-    mean W1 against n, and the fraction of trials below n^(-1/4).
-    """
-    if config.kind != "wasserstein-decay":
-        raise ConfigError(f"expected kind wasserstein-decay, got {config.kind}")
-    records, summary_rows = [], []
-    for n in config.n_list:
-        ens = config.ensemble.to_dict()
-        args = [
-            (
-                ens,
-                n,
-                config.method,
-                config.w1_reps,
-                derive_seed(config.base_seed, config.kind, n, r, "matrix"),
-                derive_seed(config.base_seed, config.kind, n, r, "disk"),
-            )
-            for r in range(config.replicates)
-        ]
-        outcomes = _map_replicates(_wasserstein_replicate, args, config.threads)
-        rows = _finalize_records(config, outcomes, {})
-        records.extend(rows)
-        w1 = np.array([r["w1"] for r in rows])
-        summary_rows.append(
-            {
-                "n": n,
-                "trials": len(rows),
-                "w1_mean": float(w1.mean()),
-                "w1_std": float(w1.std()),
-                "frac_below_quarter_power": float(np.mean(w1 <= n ** -0.25)),
-            }
-        )
+
+def _summarize_w1(config, sizes):
+    """Per-size W1 rows and the log-log regression slope of the mean W1 against n."""
+    summary_rows = _per_size(_w1_row)(config, sizes)["rows"]
     slope = None
     if len({row["n"] for row in summary_rows}) >= 2:
         xs = np.log([row["n"] for row in summary_rows])
         ys = np.log([row["w1_mean"] for row in summary_rows])
         slope = float(np.polyfit(xs, ys, 1)[0])
-    return ExperimentResult(config, records, {"rows": summary_rows, "loglog_slope": slope})
+    return {"rows": summary_rows, "loglog_slope": slope}
 
 
-def run_local_law_cells(config: ExperimentConfig) -> ExperimentResult:
-    """Per-cell eigenvalue count discrepancy against an independent Ginibre draw."""
-    if config.kind != "local-law-cells":
-        raise ConfigError(f"expected kind local-law-cells, got {config.kind}")
-    records, summary_rows = [], []
-    for n in config.n_list:
-        ens = config.ensemble.to_dict()
-        args = [
-            (
-                ens,
-                n,
-                config.grid_bound,
-                derive_seed(config.base_seed, config.kind, n, r, "matrix-x"),
-                derive_seed(config.base_seed, config.kind, n, r, "matrix-g"),
-            )
-            for r in range(config.replicates)
-        ]
-        outcomes = _map_replicates(_local_law_replicate, args, config.threads)
-        rows = _finalize_records(config, outcomes, {})
-        records.extend(rows)
-        norm = np.array([r["normalized_discrepancy"] for r in rows])
-        contained = [
-            r for r in rows if max(r["radius_x"], r["radius_g"]) <= config.grid_bound
-        ]
-        summary_rows.append(
-            {
-                "n": n,
-                "trials": len(rows),
-                "grid_bound": config.grid_bound,
-                "max_normalized_discrepancy": float(norm.max()),
-                "mean_normalized_discrepancy": float(norm.mean()),
-                "contained_trials": len(contained),
-                "contained_count_ok": all(
-                    r["x_in_grid"] == n and r["g_in_grid"] == n for r in contained
-                ),
-            }
-        )
-    return ExperimentResult(config, records, {"rows": summary_rows})
+def _cells_row(config, n, rows):
+    """Largest and mean normalized discrepancy, and the grid mass of contained spectra."""
+    norm = np.array([r["normalized_discrepancy"] for r in rows])
+    contained = [
+        r for r in rows if max(r["radius_x"], r["radius_g"]) <= config.grid_bound
+    ]
+    return {
+        "n": n,
+        "trials": len(rows),
+        "grid_bound": config.grid_bound,
+        "max_normalized_discrepancy": float(norm.max()),
+        "mean_normalized_discrepancy": float(norm.mean()),
+        "contained_trials": len(contained),
+        "contained_count_ok": all(
+            r["x_in_grid"] == n and r["g_in_grid"] == n for r in contained
+        ),
+    }
 
 
 def _thinning_scan_for_n(n: int):
@@ -569,7 +445,7 @@ def _thinning_scan_for_n(n: int):
         return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
 
     feasible = (j <= k) & (j <= n - j_size) & (k - j <= j_size)
-    with np.errstate(invalid="ignore", divide="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
         log_pmf = log_comb(n - j_size, j) + log_comb(j_size, k - j) - log_comb(n, k)
         pmf = np.where(feasible, np.exp(np.where(feasible, log_pmf, -np.inf)), 0.0)
 
@@ -578,8 +454,10 @@ def _thinning_scan_for_n(n: int):
         binom = np.where(j <= k, np.exp(np.where(j <= k, log_binom, -np.inf)), 0.0)
         binom = np.where(p <= 0.0, (j == 0).astype(float) * (j <= k), binom)
         binom = np.where(p >= 1.0, (j == k).astype(float), binom)
-    prefactor = np.exp((k * k / n) / np.sqrt(1.0 - (k - 1.0) / n))
-    bound = prefactor * binom
+        # An overflowed prefactor is an infinite bound, except where the
+        # binomial factor is 0: there the bound is 0, not inf * 0.
+        prefactor = np.exp((k * k / n) / np.sqrt(1.0 - (k - 1.0) / n))
+    bound = np.multiply(prefactor, binom, out=np.zeros_like(binom), where=binom > 0)
 
     violations = int(np.sum(pmf > bound * (1 + 1e-12)))
     mask = pmf > 0
@@ -596,39 +474,112 @@ def _thinning_scan_for_n(n: int):
     }
 
 
-def run_thinning_bound(config: ExperimentConfig) -> ExperimentResult:
+def _summarize_thinning(config, sizes):
     """Exhaustive pmf <= bound verification for all feasible tuples up to n_max."""
-    if config.kind != "thinning-bound":
-        raise ConfigError(f"expected kind thinning-bound, got {config.kind}")
-    if config.n_max < 1:
-        raise ConfigError("n_max must be >= 1")
-    records = []
-    for n in range(1, config.n_max + 1):
-        row = _thinning_scan_for_n(n)
-        row["kind"] = config.kind
-        records.append(row)
+    records = [row for _, rows in sizes for row in rows]
     worst = max(records, key=lambda r: r["worst_ratio"])
-    summary = {
+    return {
         "n_max": config.n_max,
         "violations": int(sum(r["violations"] for r in records)),
         "worst_ratio": worst["worst_ratio"],
         "worst_case": {key: worst[key] for key in ("n", "k", "j_size", "j")},
     }
-    return ExperimentResult(config, records, summary)
 
 
-RUNNERS = {
-    "partial-fixed-K": run_partial_fixed_K,
-    "partial-growing-K": run_partial_growing_K,
-    "full-clt": run_full_clt,
-    "wasserstein-decay": run_wasserstein_decay,
-    "local-law-cells": run_local_law_cells,
-    "thinning-bound": run_thinning_bound,
+def _row_gate(check):
+    """Gate applying `check(row)` to every summary row, in row order."""
+    return lambda summary: [msg for row in summary["rows"] for msg in check(row)]
+
+
+def _window(row, key, target_key, tol):
+    target = row[target_key]
+    if (1 - tol) * target <= row[key] <= (1 + tol) * target:
+        return []
+    return [f"n={row['n']}: {key} {row[key]:.4f} outside {tol:.0%} of {target:.4f}"]
+
+
+def _ks_floor(row):
+    return [f"n={row['n']}: KS p {row['ks_p']:.2e} <= 0.001"] if row["ks_p"] <= 0.001 else []
+
+
+def _cells_check(row):
+    failures = []
+    if row["max_normalized_discrepancy"] > 5.0:
+        failures.append(
+            f"n={row['n']}: normalized discrepancy "
+            f"{row['max_normalized_discrepancy']:.2f} > 5"
+        )
+    if not row["contained_count_ok"]:
+        failures.append(f"n={row['n']}: contained spectra missing grid mass")
+    return failures
+
+
+def _gate_w1(summary):
+    rows = summary["rows"]
+    failures = []
+    means = [row["w1_mean"] for row in rows]
+    if any(b >= a for a, b in zip(means, means[1:])):
+        failures.append(f"mean W1 not strictly decreasing: {means}")
+    for row in rows:
+        if row["n"] >= 256 and row["frac_below_quarter_power"] < 1.0:
+            failures.append(
+                f"n={row['n']}: only {row['frac_below_quarter_power']:.0%} of "
+                "trials below n^(-1/4)"
+            )
+    return failures
+
+
+def _gate_thinning(summary):
+    return [f"{summary['violations']} bound violations"] if summary["violations"] else []
+
+
+@dataclass(frozen=True)
+class KindSpec:
+    """One experiment kind: seed streams, measure, summary and `--assert` gate.
+
+    `streams` maps each record seed field to its stream tag; `solves` pairs
+    the fields that draw a matrix with its ensemble (None: the configured
+    one).  `measure(config, n, spectra, seeds)` gives a replicate's fields,
+    `summarize(config, [(n, records)])` the summary and `gate(summary)` the
+    failure messages.  thinning-bound solves nothing; its records are scan rows.
+    """
+
+    streams: dict
+    measure: Callable | None
+    summarize: Callable
+    gate: Callable
+    solves: tuple = (("seed_matrix", None),)
+
+
+_PARTIAL_STREAMS = {"seed_matrix": "matrix", "seed_index": "index"}
+
+KINDS = {
+    "partial-fixed-K": KindSpec(
+        _PARTIAL_STREAMS, _measure_partial, _per_size(_fixed_k_row),
+        _row_gate(lambda row: (
+            _window(row, "removed_var", "removed_var_target", 0.2) + _ks_floor(row)
+        )),
+    ),
+    "partial-growing-K": KindSpec(
+        _PARTIAL_STREAMS, _measure_partial, _per_size(_growing_k_row),
+        _row_gate(lambda row: (
+            _window(row, "removed_var_re", "target_var_re", 0.25) + _ks_floor(row)
+        )),
+    ),
+    "full-clt": KindSpec(
+        {"seed_matrix": "matrix"}, _measure_full, _per_size(_full_clt_row),
+        _row_gate(lambda row: _window(row, "full_var", "target_var", 0.25)),
+    ),
+    "wasserstein-decay": KindSpec(
+        {"seed_matrix": "matrix", "seed_disk": "disk"}, _measure_w1, _summarize_w1, _gate_w1,
+    ),
+    "local-law-cells": KindSpec(
+        {"seed_x": "matrix-x", "seed_g": "matrix-g"}, _measure_cells, _per_size(_cells_row),
+        _row_gate(_cells_check),
+        solves=(("seed_x", None), ("seed_g", AtomDistribution("complex-gaussian"))),
+    ),
+    "thinning-bound": KindSpec({}, None, _summarize_thinning, _gate_thinning, solves=()),
 }
-
-
-def run_experiment(config: ExperimentConfig) -> ExperimentResult:
-    return RUNNERS[config.kind](config)
 
 
 # ---------------------------------------------------------------------------

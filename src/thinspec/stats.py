@@ -28,10 +28,9 @@ class FunctionLookupError(KeyError):
 class TestFunction:
     """Complex-plane test function with polynomial-tail metadata.
 
-    `evaluate` must accept complex ndarrays.  |f(z)| <= tail_c * (1 +
-    |z|**tail_m) globally, and f is Lipschitz within `lipschitz_radius` of
-    the origin.  Built-ins also carry an exact gradient (d/dx, d/dy) used
-    to validate the finite-difference path.
+    `evaluate` must accept complex ndarrays, and |f(z)| <= tail_c * (1 +
+    |z|**tail_m) globally.  Built-ins also carry an exact gradient (d/dx,
+    d/dy) used to validate the finite-difference path.
     """
 
     __test__ = False  # keep pytest from collecting the domain type
@@ -40,7 +39,6 @@ class TestFunction:
     evaluate: Callable[[np.ndarray], np.ndarray]
     tail_c: float
     tail_m: int
-    lipschitz_radius: float = 2.0
     real_valued: bool = True
     gradient: Callable[[np.ndarray], tuple] | None = None
 
@@ -248,14 +246,21 @@ def near_binomial_bound(n: int, k: int, j_size: int, j: int) -> float:
     """Inflated-binomial upper bound dominating `hypergeom_removal_pmf`.
 
     exp(k^2/n / sqrt(1 - (k-1)/n)) times the Binomial(k, 1 - j_size/n) pmf
-    at j.  Valid for k - 1 < n.
+    at j.  Valid for k - 1 < n.  A prefactor beyond the largest double
+    gives inf, or 0 where the binomial pmf is 0.
     """
     if not (1 <= k <= n and 0 <= j_size <= n):
         raise ValueError(f"invalid (n={n}, k={k}, j_size={j_size})")
     if j < 0:
         raise ValueError(f"invalid j={j}")
-    prefactor = math.exp((k * k / n) / math.sqrt(1.0 - (k - 1) / n))
-    return prefactor * _binomial_pmf(k, 1.0 - j_size / n, j)
+    binom = _binomial_pmf(k, 1.0 - j_size / n, j)
+    if binom == 0.0:
+        return 0.0
+    try:
+        prefactor = math.exp((k * k / n) / math.sqrt(1.0 - (k - 1) / n))
+    except OverflowError:
+        return math.inf
+    return prefactor * binom
 
 
 @dataclass(frozen=True)

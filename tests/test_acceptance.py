@@ -10,6 +10,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from thinspec.ensembles import AtomDistribution, atom_moments
 from thinspec.experiments import (
@@ -173,6 +174,7 @@ def test_criterion_06_variance_formula_analytic():
     )
 
 
+@pytest.mark.slow
 def test_criterion_07_fixed_thinning_desk_scale():
     # Ginibre, n=256, K=1, f=re, 2000 replicates (seed frozen after pre-run)
     t0 = time.time()
@@ -190,6 +192,7 @@ def test_criterion_07_fixed_thinning_desk_scale():
     )
 
 
+@pytest.mark.slow
 def test_criterion_08_growing_thinning_desk_scale():
     # Ginibre, n=256, K=4, f=re, 1000 replicates
     t0 = time.time()
@@ -207,6 +210,7 @@ def test_criterion_08_growing_thinning_desk_scale():
     )
 
 
+@pytest.mark.slow
 def test_criterion_09_full_clt_desk_scale():
     # Ginibre, n=256, f=re, 1000 replicates; target variance 1/2
     t0 = time.time()
@@ -223,6 +227,7 @@ def test_criterion_09_full_clt_desk_scale():
     )
 
 
+@pytest.mark.slow
 def test_criterion_10_wasserstein_decay():
     # Ginibre, n in {64, 256, 1024}, 10 trials each
     t0 = time.time()
@@ -244,6 +249,7 @@ def test_criterion_10_wasserstein_decay():
     )
 
 
+@pytest.mark.slow
 def test_criterion_11_local_law_cells():
     # rademacher vs Ginibre, n=1024, 10 trials; discrepancy <= 5 n^(1/4)
     t0 = time.time()

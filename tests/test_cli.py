@@ -3,8 +3,9 @@ import json
 
 import pytest
 
+from thinspec import experiments
 from thinspec.cli import main
-from thinspec.spectral import spiral_compare
+from thinspec.spectral import EigensolverError, spiral_compare
 
 
 def _read_csv(path):
@@ -157,6 +158,23 @@ def test_exit_code_2_on_errors(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "wasserstein-decay"}))
     assert main(["full-clt", "--config", str(cfg)]) == 2
     capsys.readouterr()
+
+
+def test_exit_code_2_on_misspelled_config_key(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [12], "replicate": 2}))
+    assert main(["full-clt", "--config", str(cfg)]) == 2
+    assert "replicate" in capsys.readouterr().err
+
+
+def test_exit_code_4_on_skip_budget(monkeypatch, capsys):
+    def failing_solve(matrix, scale):
+        raise EigensolverError("forced failure")
+
+    monkeypatch.setattr(experiments, "eigenvalues", failing_solve)
+    assert main(["full-clt", "--n-list", "12", "--reps", "3"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: 3/3 replicates skipped")
 
 
 def test_exit_code_3_on_assert_failure(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import json
+import math
+import warnings
 
 import pytest
 
 from thinspec.ensembles import AtomDistribution
 from thinspec.experiments import (
+    KINDS,
     ConfigError,
     ExperimentConfig,
-    _local_law_replicate,
+    _replicate,
     _thinning_scan_for_n,
     config_hash,
     derive_seed,
@@ -72,6 +75,14 @@ def test_config_roundtrip_and_hash():
     assert config_hash(cfg) == config_hash(threaded)
 
 
+def test_config_rejects_unknown_keys():
+    # misspelled keys used to be dropped, silently running the defaults
+    with pytest.raises(ConfigError, match="n-list"):
+        ExperimentConfig.from_dict({"kind": "partial-fixed-K", "replicate": 2000, "n-list": [64]})
+    with pytest.raises(ConfigError, match="f_id"):
+        ExperimentConfig.from_dict({"kind": "full-clt", "f_id": "re"})  # the file key is "f"
+
+
 def test_partial_fixed_k_records_and_identity():
     cfg = ExperimentConfig(
         kind="partial-fixed-K", n_list=(24,), k=3, f_id="re", replicates=12, base_seed=9
@@ -111,6 +122,7 @@ def test_full_clt_smoke():
     assert result.summary["rows"][0]["target_var"] == pytest.approx(0.5, abs=1e-6)
 
 
+@pytest.mark.slow
 def test_full_clt_rademacher_real_atom_target():
     # real-atom variance formula gives 1 for f=re; 300 reps calibrated at 0.93
     cfg = ExperimentConfig(
@@ -142,8 +154,8 @@ def test_wasserstein_lattice_method():
 
 def test_local_law_same_seed_has_zero_discrepancy():
     # identical Ginibre draws produce identical spectra, hence zero discrepancy
-    args = ({"kind": "complex-gaussian"}, 32, 1.25, 123, 123)
-    record, error = _local_law_replicate(args)
+    cfg = ExperimentConfig(kind="local-law-cells", n_list=(32,), grid_bound=1.25)
+    record, error = _replicate((cfg, 32, {"seed_x": 123, "seed_g": 123}))
     assert error is None
     assert record["max_cell_discrepancy"] == 0
     assert record["x_in_grid"] == record["g_in_grid"]
@@ -179,6 +191,17 @@ def test_thinning_scan_matches_scalar_ops():
         assert row["worst_ratio"] == pytest.approx(worst, rel=1e-12)
 
 
+def test_thinning_bound_overflow_is_an_infinite_bound():
+    # the prefactor exceeds the largest double from n = 80 on
+    assert near_binomial_bound(80, 80, 0, 80) == math.inf
+    assert near_binomial_bound(80, 80, 0, 79) == 0.0  # binomial pmf 0, not inf * 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row = _thinning_scan_for_n(80)
+    assert row["violations"] == 0
+    assert 0.0 < row["worst_ratio"] <= 1.0
+
+
 def test_thinning_bound_run():
     cfg = ExperimentConfig(kind="thinning-bound", n_max=10, replicates=1)
     result = run_thinning_bound(cfg)
@@ -205,3 +228,98 @@ def test_records_are_replicate_ordered_and_json_clean():
     assert replicates == sorted(replicates)
     for line in records_jsonl(result).splitlines():
         json.loads(line)
+
+
+# Per kind: a summary just inside every --assert threshold, one just outside,
+# and the failure messages of the latter, in order.
+GATE_CASES = [
+    (
+        "partial-fixed-K",
+        {"rows": [
+            {"n": 64, "removed_var": 1.19, "removed_var_target": 1.0, "ks_p": 0.0011},
+            {"n": 128, "removed_var": 0.81, "removed_var_target": 1.0, "ks_p": 0.5},
+        ]},
+        {"rows": [
+            {"n": 64, "removed_var": 1.21, "removed_var_target": 1.0, "ks_p": 0.001},
+            {"n": 128, "removed_var": 0.79, "removed_var_target": 1.0, "ks_p": 0.5},
+        ]},
+        [
+            "n=64: removed_var 1.2100 outside 20% of 1.0000",
+            "n=64: KS p 1.00e-03 <= 0.001",
+            "n=128: removed_var 0.7900 outside 20% of 1.0000",
+        ],
+    ),
+    (
+        "partial-growing-K",
+        {"rows": [
+            {"n": 256, "removed_var_re": 0.31, "target_var_re": 0.25, "ks_p": 0.0011},
+            {"n": 625, "removed_var_re": 0.19, "target_var_re": 0.25, "ks_p": 0.5},
+        ]},
+        {"rows": [
+            {"n": 256, "removed_var_re": 0.32, "target_var_re": 0.25, "ks_p": 0.0009},
+            {"n": 625, "removed_var_re": 0.18, "target_var_re": 0.25, "ks_p": 0.5},
+        ]},
+        [
+            "n=256: removed_var_re 0.3200 outside 25% of 0.2500",
+            "n=256: KS p 9.00e-04 <= 0.001",
+            "n=625: removed_var_re 0.1800 outside 25% of 0.2500",
+        ],
+    ),
+    (
+        "full-clt",
+        {"rows": [
+            {"n": 256, "full_var": 0.62, "target_var": 0.5},
+            {"n": 512, "full_var": 0.38, "target_var": 0.5},
+        ]},
+        {"rows": [
+            {"n": 256, "full_var": 0.63, "target_var": 0.5},
+            {"n": 512, "full_var": 0.37, "target_var": 0.5},
+        ]},
+        [
+            "n=256: full_var 0.6300 outside 25% of 0.5000",
+            "n=512: full_var 0.3700 outside 25% of 0.5000",
+        ],
+    ),
+    (
+        "wasserstein-decay",
+        {"rows": [
+            {"n": 64, "w1_mean": 0.3, "frac_below_quarter_power": 0.5},
+            {"n": 256, "w1_mean": 0.2999, "frac_below_quarter_power": 1.0},
+        ]},
+        {"rows": [
+            {"n": 64, "w1_mean": 0.3, "frac_below_quarter_power": 0.5},
+            {"n": 256, "w1_mean": 0.3, "frac_below_quarter_power": 0.95},
+        ]},
+        [
+            "mean W1 not strictly decreasing: [0.3, 0.3]",
+            "n=256: only 95% of trials below n^(-1/4)",
+        ],
+    ),
+    (
+        "local-law-cells",
+        {"rows": [
+            {"n": 1024, "max_normalized_discrepancy": 5.0, "contained_count_ok": True},
+        ]},
+        {"rows": [
+            {"n": 1024, "max_normalized_discrepancy": 5.01, "contained_count_ok": False},
+        ]},
+        [
+            "n=1024: normalized discrepancy 5.01 > 5",
+            "n=1024: contained spectra missing grid mass",
+        ],
+    ),
+    (
+        "thinning-bound",
+        {"violations": 0, "worst_ratio": 1.0},
+        {"violations": 2, "worst_ratio": 1.5},
+        ["2 bound violations"],
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, inside, outside, messages", GATE_CASES, ids=[case[0] for case in GATE_CASES]
+)
+def test_assert_gate_thresholds(kind, inside, outside, messages):
+    assert KINDS[kind].gate(inside) == []
+    assert KINDS[kind].gate(outside) == messages

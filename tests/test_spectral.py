@@ -170,6 +170,7 @@ def test_spectral_radius():
     assert spectral_radius(_spectrum([1.0, -2.0])) == 2.0
 
 
+@pytest.mark.slow
 def test_ginibre_containment_frequency():
     # calibrated: all 100 seeds land inside radius 1.1 at n=256
     inside = 0
