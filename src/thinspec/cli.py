@@ -122,6 +122,7 @@ def _load_config_dict(args, kind: str) -> dict:
     base["kind"] = base.get("kind", kind)
     if base["kind"] != kind:
         raise ConfigError(f"config kind {base['kind']!r} does not match subcommand {kind!r}")
+    reps = getattr(args, "reps", None)  # a 0 is kept, so it fails validation
     overrides = {
         "ensemble": {"kind": args.ensemble} if getattr(args, "ensemble", None) else None,
         "n_list": [int(x) for x in args.n_list.split(",")] if getattr(args, "n_list", None) else None,
@@ -129,7 +130,7 @@ def _load_config_dict(args, kind: str) -> dict:
         "base_seed": getattr(args, "seed", None),
         "threads": getattr(args, "threads", None),
         "k": getattr(args, "k", None),
-        "replicates": getattr(args, "reps", None) or getattr(args, "trials", None),
+        "replicates": reps if reps is not None else getattr(args, "trials", None),
         "method": getattr(args, "method", None),
         "w1_reps": getattr(args, "w1_reps", None),
         "grid_bound": getattr(args, "bound", None),

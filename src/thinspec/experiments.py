@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .ensembles import AtomDistribution, atom_moments, sample_matrix
+from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
 from .seeding import derive_seed64, make_rng
 from .spectral import EigensolverError, eigenvalues, spectral_radius
 from .stats import (
@@ -48,10 +48,10 @@ MAX_SKIP_FRACTION = 0.01
 
 # Config-file key of each field whose key differs from its name.
 _FILE_KEYS = {"f_id": "f"}
-# Conversions of config-file values, by the field's annotation; fields
-# annotated otherwise (str, int | None) are taken as given.
-_CASTS = {"int": int, "float": float, "bool": bool, "tuple": tuple,
-          "AtomDistribution": AtomDistribution.from_dict}
+# Conversion of config-file values, and the JSON type it expects, by the
+# field's annotation; fields annotated otherwise (str, int | None) are taken as given.
+_CASTS = {"int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "a boolean"),
+          "tuple": (tuple, "a list"), "AtomDistribution": (AtomDistribution.from_dict, "an object")}
 
 
 class ConfigError(ValueError):
@@ -138,10 +138,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown config field(s) {unknown}; known: {sorted(by_key)}")
         if "kind" not in d:
             raise ConfigError("missing config field: 'kind'")
-        kwargs = {
-            by_key[key].name: _CASTS.get(by_key[key].type, lambda x: x)(value)
-            for key, value in d.items()
-        }
+        kwargs = {}
+        for key, value in d.items():
+            cast, expected = _CASTS.get(by_key[key].type, (lambda x: x, None))
+            try:
+                kwargs[by_key[key].name] = cast(value)
+            except DistributionError:
+                raise
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ConfigError(f"config field {key!r} must be {expected}, got {value!r}") from exc
         return cls(**kwargs)
 
 
@@ -435,43 +440,46 @@ def _cells_row(config, n, rows):
     }
 
 
+# Most (K, J, j) cells one block of the thinning scan spans.
+_SCAN_BLOCK = 1 << 21
+
+
 def _thinning_scan_for_n(n: int):
-    """Worst pmf/bound ratio over all feasible (K, J, j) at fixed n."""
-    k = np.arange(1, n + 1, dtype=np.float64)[:, None, None]
-    j_size = np.arange(0, n + 1, dtype=np.float64)[None, :, None]
-    j = np.arange(0, n + 1, dtype=np.float64)[None, None, :]
+    """Worst pmf/bound ratio over all feasible (K, J, j) at fixed n.
 
-    def log_comb(a, b):
-        return gammaln(a + 1) - gammaln(b + 1) - gammaln(a - b + 1)
-
-    feasible = (j <= k) & (j <= n - j_size) & (k - j <= j_size)
-    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-        log_pmf = log_comb(n - j_size, j) + log_comb(j_size, k - j) - log_comb(n, k)
-        pmf = np.where(feasible, np.exp(np.where(feasible, log_pmf, -np.inf)), 0.0)
-
+    Only feasible triples are evaluated (elsewhere pmf = 0, which neither
+    violates the bound nor holds the worst ratio), in C order and in blocks
+    of K spanning at most _SCAN_BLOCK cells, so memory is O(n^2 + block).
+    """
+    a = np.arange(n + 1)
+    lg = gammaln(a + 1)
+    lc = (lg[:, None] - lg) - lg[np.abs(a[:, None] - a)]  # log C(a, b), read at b <= a
+    kf = np.arange(1, n + 1, dtype=np.float64)
+    # An overflowed prefactor is an infinite bound, except where the
+    # binomial factor is 0: there the bound is 0, not inf * 0.
+    with np.errstate(over="ignore"):
+        prefactor = np.exp((kf * kf / n) / np.sqrt(1.0 - (kf - 1.0) / n))
+    step = max(1, _SCAN_BLOCK // (n + 1) ** 2)
+    violations, worst = 0, None
+    for k0 in range(1, n + 1, step):
+        ks = np.arange(k0, min(k0 + step, n + 1))[:, None, None]
+        k, j_size, j = np.nonzero((a <= ks) & (a <= n - a[:, None]) & (ks - a <= a[:, None]))
+        k += k0
+        pmf = np.exp((lc[n - j_size, j] + lc[j_size, k - j]) - lc[n, k])
         p = 1.0 - j_size / n
-        log_binom = log_comb(k, j) + j * np.log(p) + (k - j) * np.log1p(-p)
-        binom = np.where(j <= k, np.exp(np.where(j <= k, log_binom, -np.inf)), 0.0)
-        binom = np.where(p <= 0.0, (j == 0).astype(float) * (j <= k), binom)
-        binom = np.where(p >= 1.0, (j == k).astype(float), binom)
-        # An overflowed prefactor is an infinite bound, except where the
-        # binomial factor is 0: there the bound is 0, not inf * 0.
-        prefactor = np.exp((k * k / n) / np.sqrt(1.0 - (k - 1.0) / n))
-    bound = np.multiply(prefactor, binom, out=np.zeros_like(binom), where=binom > 0)
-
-    violations = int(np.sum(pmf > bound * (1 + 1e-12)))
-    mask = pmf > 0
-    ratio = np.where(mask, pmf / np.where(mask, bound, 1.0), 0.0)
-    flat = int(np.argmax(ratio))
-    ki, ji_size, ji = np.unravel_index(flat, ratio.shape)
-    return {
-        "n": n,
-        "worst_ratio": float(ratio[ki, ji_size, ji]),
-        "k": int(ki + 1),
-        "j_size": int(ji_size),
-        "j": int(ji),
-        "violations": violations,
-    }
+        with np.errstate(invalid="ignore", divide="ignore"):
+            log_binom = lc[k, j] + j * np.log(p) + (k - j) * np.log1p(-p)
+        # p = 1 or 0 (J = 0 or n): a point mass at the only feasible j (K or 0)
+        binom = np.where((j_size == 0) | (j_size == n), 1.0, np.exp(log_binom))
+        bound = np.multiply(prefactor[k - 1], binom, out=np.zeros_like(binom), where=binom > 0)
+        violations += int(np.count_nonzero(pmf > bound * (1 + 1e-12)))
+        mask = pmf > 0
+        ratio = np.where(mask, pmf / np.where(mask, bound, 1.0), 0.0)
+        i = int(np.argmax(ratio))
+        if worst is None or ratio[i] > worst["worst_ratio"]:  # ties keep the first, as argmax
+            worst = {"worst_ratio": float(ratio[i]), "k": int(k[i]),
+                     "j_size": int(j_size[i]), "j": int(j[i])}
+    return {"n": n, **worst, "violations": violations}
 
 
 def _summarize_thinning(config, sizes):

@@ -184,3 +184,27 @@ def test_exit_code_3_on_assert_failure(tmp_path, capsys):
                  "--out", str(out), "--assert"])
     assert code == 3
     assert "ASSERT FAIL" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["full-clt", "--n-list", "4", "--reps", "0"],
+    ["wasserstein", "--n-list", "4", "--trials", "0"],
+], ids=["reps", "trials"])
+def test_exit_code_2_on_zero_replicates(tmp_path, capsys, argv):
+    out = tmp_path / "r.out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: replicates must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, expected", [
+    ("n_list", 64, "'n_list' must be a list, got 64"),
+    ("ensemble", "rademacher", "'ensemble' must be an object, got 'rademacher'"),
+], ids=["n_list", "ensemble"])
+def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, expected):
+    cfg = tmp_path / "bad_type.json"
+    cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [4], "replicates": 2, field: value}))
+    assert main(["full-clt", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config field ")
+    assert expected in err

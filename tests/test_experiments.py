@@ -1,9 +1,11 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import pytest
 
+from thinspec import experiments
 from thinspec.ensembles import AtomDistribution
 from thinspec.experiments import (
     KINDS,
@@ -176,7 +178,7 @@ def test_local_law_small_run():
 
 
 def test_thinning_scan_matches_scalar_ops():
-    for n in (1, 2, 7):
+    for n in (1, 2, 7, 12):
         row = _thinning_scan_for_n(n)
         assert row["violations"] == 0
         worst = 0.0
@@ -200,6 +202,25 @@ def test_thinning_bound_overflow_is_an_infinite_bound():
         row = _thinning_scan_for_n(80)
     assert row["violations"] == 0
     assert 0.0 < row["worst_ratio"] <= 1.0
+
+
+def test_thinning_scan_rows_do_not_depend_on_block_size(monkeypatch):
+    # 300 cells: several K per block up to n = 11, one K per block from n = 12 on
+    ns = range(1, 31)
+    default_rows = [_thinning_scan_for_n(n) for n in ns]
+    monkeypatch.setattr(experiments, "_SCAN_BLOCK", 300)
+    assert [_thinning_scan_for_n(n) for n in ns] == default_rows
+
+
+def test_thinning_scan_memory_is_quadratic():
+    # one dense (K, J, j) float array at n = 300 alone is 207 MiB
+    tracemalloc.start()
+    try:
+        _thinning_scan_for_n(300)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 * 2**20
 
 
 def test_thinning_bound_run():

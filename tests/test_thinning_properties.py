@@ -1,0 +1,37 @@
+"""Property tests of the removal pmf and its near-binomial bound (pmf <= bound)."""
+
+import math
+
+from hypothesis import given, strategies as st
+
+from thinspec.experiments import _thinning_scan_for_n
+from thinspec.stats import hypergeom_removal_pmf, near_binomial_bound
+
+
+@st.composite
+def population_and_sizes(draw, n_max=300):
+    n = draw(st.integers(1, n_max))
+    return n, draw(st.integers(1, n)), draw(st.integers(0, n))
+
+
+@given(population_and_sizes(), st.data())
+def test_pmf_is_at_most_the_bound(sizes, data):
+    n, k, j_size = sizes
+    j = data.draw(st.integers(0, k))
+    pmf = hypergeom_removal_pmf(n, k, j_size, j)
+    assert pmf <= near_binomial_bound(n, k, j_size, j) * (1 + 1e-12)
+
+
+@given(population_and_sizes())
+def test_pmf_sums_to_one(sizes):
+    n, k, j_size = sizes
+    total = math.fsum(hypergeom_removal_pmf(n, k, j_size, j) for j in range(k + 1))
+    assert abs(total - 1.0) <= 1e-12
+
+
+def test_scan_rows_hold_the_bound():
+    # exhaustive over every n <= 40, so no sampling
+    for n in range(1, 41):
+        row = _thinning_scan_for_n(n)
+        assert row["violations"] == 0
+        assert 0.0 < row["worst_ratio"] <= 1.0
