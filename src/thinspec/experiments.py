@@ -29,6 +29,7 @@ from .ensembles import AtomDistribution, DistributionError, atom_moments, sample
 from .seeding import derive_seed64, make_rng
 from .spectral import EigensolverError, eigenvalues, spectral_radius
 from .stats import (
+    BUILTIN_FUNCTIONS,
     LimitSpec,
     disk_moments,
     ginibre_variance,
@@ -39,19 +40,25 @@ from .stats import (
     sample_index_set,
     function_by_id,
 )
-from .transport import cell_counts, default_grid, w1_to_disk
+from .transport import DEFAULT_EXACT_CAP, cell_counts, default_grid, w1_to_disk
 
 log = logging.getLogger(__name__)
 
 # At most this fraction of replicates may be skipped due to solver failures.
 MAX_SKIP_FRACTION = 0.01
 
-# Config-file key of each field whose key differs from its name.
-_FILE_KEYS = {"f_id": "f"}
-# Conversion of config-file values, and the JSON type it expects, by the
-# field's annotation; fields annotated otherwise (str, int | None) are taken as given.
-_CASTS = {"int": (int, "an integer"), "float": (float, "a number"), "bool": (bool, "a boolean"),
-          "tuple": (tuple, "a list"), "AtomDistribution": (AtomDistribution.from_dict, "an object")}
+# By field annotation: the JSON type a config-file value must have, in words
+# and as a test (exact, so a bool is no int), and its conversion to the field.
+_JSON_TYPES = {
+    "str": ("a string", lambda v: type(v) is str, str),
+    "int": ("an integer", lambda v: type(v) is int, int),
+    "int | None": ("an integer or null", lambda v: v is None or type(v) is int, lambda v: v),
+    "float": ("a number", lambda v: type(v) in (int, float), float),
+    "bool": ("a boolean", lambda v: type(v) is bool, bool),
+    "tuple": ("a list of integers",
+              lambda v: type(v) is list and all(type(n) is int for n in v), tuple),
+    "AtomDistribution": ("an object", lambda v: type(v) is dict, AtomDistribution.from_dict),
+}
 
 
 class ConfigError(ValueError):
@@ -84,34 +91,38 @@ class ExperimentConfig:
     n_max: int = 60  # thinning-bound only
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ConfigError(f"unknown experiment kind {self.kind!r}")
-        if not self.n_list or any(int(n) < 1 for n in self.n_list):
-            raise ConfigError("n_list must be a nonempty list of positive integers")
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
-        if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-        if self.base_seed < 0:
-            raise ConfigError("base_seed must be nonnegative")
-        if self.threads < 1:
-            raise ConfigError("threads must be >= 1")
-        if self.method not in ("sample", "lattice"):
-            raise ConfigError(f"unknown wasserstein method {self.method!r}")
-        if self.kind == "thinning-bound" and self.n_max < 1:
-            raise ConfigError("n_max must be >= 1")
+        for invalid, message in (
+            (self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"),
+            (not self.n_list or min(self.n_list) < 1,
+             "n_list must be a nonempty list of positive integers"),
+            (self.replicates < 1, "replicates must be >= 1"),
+            (self.base_seed < 0, "base_seed must be nonnegative"),
+            (self.threads < 1, "threads must be >= 1"),
+            (self.w1_reps < 1, "w1_reps must be >= 1"),
+            (not self.k_divisor > 0, "k_divisor must be > 0"),
+            (not self.grid_bound > 1, "grid_bound must exceed 1"),
+            (self.method not in ("sample", "lattice"),
+             f"unknown wasserstein method {self.method!r}"),
+            (self.f_id not in BUILTIN_FUNCTIONS,
+             f"unknown test function {self.f_id!r}; known: {sorted(BUILTIN_FUNCTIONS)}"),
+            (self.kind == "thinning-bound" and self.n_max < 1, "n_max must be >= 1"),
+            (self.kind == "wasserstein-decay" and any(n > DEFAULT_EXACT_CAP for n in self.n_list),
+             f"wasserstein-decay needs n <= {DEFAULT_EXACT_CAP}, the exact-W1 cap"),
+        ):
+            if invalid:
+                raise ConfigError(message)
         if self.kind == "partial-fixed-K":
-            k = 1 if self.k is None else self.k
-            if k < 1 or any(k > n for n in self.n_list):
-                raise ConfigError(f"fixed K={k} must satisfy 1 <= K <= n")
-            object.__setattr__(self, "k", k)
-        if self.kind == "partial-growing-K" and not self.allow_large_k:
-            for n in self.n_list:
-                k = self.k_for(n)
-                if k > n ** 0.25 + 1e-9:
-                    raise ConfigError(
-                        f"K={k} at n={n} exceeds the n^(1/4) growth budget; "
-                        "set allow_large_k to override"
-                    )
+            object.__setattr__(self, "k", 1 if self.k is None else self.k)
+        for n in self.n_list if self.kind.startswith("partial") else ():
+            k = self.k_for(n)
+            if not 1 <= k <= n:
+                raise ConfigError(f"K={k} at n={n} must satisfy 1 <= K <= n")
+            if self.kind == "partial-growing-K" and not self.allow_large_k and k > n ** 0.25 + 1e-9:
+                raise ConfigError(
+                    f"K={k} at n={n} exceeds the n^(1/4) growth budget; "
+                    "set allow_large_k to override"
+                )
 
     def k_for(self, n: int) -> int:
         """Thinning size at matrix size n under this configuration."""
@@ -121,33 +132,36 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """Canonical JSON form: every field but `threads`, under its file key."""
-        d = {
-            _FILE_KEYS.get(f.name, f.name): getattr(self, f.name)
-            for f in fields(self)
-            if f.name != "threads"
-        }
+        d = {key: getattr(self, f.name) for key, f in CONFIG_FIELDS.items() if key != "threads"}
         d.update(ensemble=self.ensemble.to_dict(), n_list=list(self.n_list))
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of `to_dict`, also accepting `threads`; other keys are errors."""
-        by_key = {_FILE_KEYS.get(f.name, f.name): f for f in fields(cls)}
-        unknown = sorted(set(d) - set(by_key))
+        """Inverse of `to_dict`, also accepting `threads`; other keys or JSON types are errors."""
+        unknown = sorted(set(d) - set(CONFIG_FIELDS))
         if unknown:
-            raise ConfigError(f"unknown config field(s) {unknown}; known: {sorted(by_key)}")
+            raise ConfigError(f"unknown config field(s) {unknown}; known: {sorted(CONFIG_FIELDS)}")
         if "kind" not in d:
             raise ConfigError("missing config field: 'kind'")
         kwargs = {}
         for key, value in d.items():
-            cast, expected = _CASTS.get(by_key[key].type, (lambda x: x, None))
+            expected, check, convert = _JSON_TYPES[CONFIG_FIELDS[key].type]
+            message = f"config field {key!r} must be {expected}, got {value!r}"
+            if not check(value):
+                raise ConfigError(message)
             try:
-                kwargs[by_key[key].name] = cast(value)
+                kwargs[CONFIG_FIELDS[key].name] = convert(value)
             except DistributionError:
                 raise
-            except (TypeError, ValueError, AttributeError) as exc:
-                raise ConfigError(f"config field {key!r} must be {expected}, got {value!r}") from exc
+            except (TypeError, ValueError) as exc:  # a malformed ensemble object
+                raise ConfigError(message) from exc
         return cls(**kwargs)
+
+
+# Each field by its config-file key, which is also the argparse dest of its CLI
+# flag: the field's name, but "f" for f_id.
+CONFIG_FIELDS = {"f" if f.name == "f_id" else f.name: f for f in fields(ExperimentConfig)}
 
 
 def config_hash(config: ExperimentConfig) -> str:

@@ -175,10 +175,9 @@ def partial_statistic(s: ComplexSpectrum, f: TestFunction, index_set: IndexSet
     """(kept, removed) sums of f with `index_set` removed.
 
     Both parts are exactly rounded sums of their own terms, so replays are
-    bit-identical and kept + removed matches `linear_statistic` to within
-    one ulp of the larger part (exactly, in the common non-cancelling
-    cases; IEEE double rounding makes a universal bitwise identity of
-    independently rounded parts unattainable).
+    bit-identical.  Each component of kept + removed is within one ulp of
+    max(|kept|, |removed|, |full|) of full = `linear_statistic` (tested, not
+    proven); one ulp of the larger part can fail when the sum crosses a binade.
     """
     if index_set.n != s.n:
         raise ValueError(f"index set population {index_set.n} != spectrum size {s.n}")

@@ -182,7 +182,7 @@ def uniform_disk_sample(count: int, seed: int) -> np.ndarray:
     return disk_points(make_rng(seed), count)
 
 
-def w1_to_disk_samples(points, reps: int, seed: int, cap: int = DEFAULT_EXACT_CAP) -> np.ndarray:
+def w1_to_disk_samples(points, reps: int, seed: int) -> np.ndarray:
     """Per-replicate exact W1 values against fresh uniform-disk samples."""
     points = _as_points(points)
     if reps < 1:
@@ -190,12 +190,11 @@ def w1_to_disk_samples(points, reps: int, seed: int, cap: int = DEFAULT_EXACT_CA
     values = np.empty(reps)
     for r in range(reps):
         ref = uniform_disk_sample(points.size, derive_seed64(seed, "disk-rep", r))
-        values[r] = w1_exact(points, ref, cap=cap).value
+        values[r] = w1_exact(points, ref).value
     return values
 
 
-def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0,
-               cap: int = DEFAULT_EXACT_CAP) -> float:
+def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0) -> float:
     """Estimated W1 from the empirical measure of `points` to the disk law.
 
     method "lattice" matches against the predicted-location lattice (bias =
@@ -206,7 +205,7 @@ def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0,
     if method == "lattice":
         from .lattice import lattice
 
-        return w1_exact(points, lattice(points.size).points, cap=cap).value
+        return w1_exact(points, lattice(points.size).points).value
     if method == "sample":
-        return float(w1_to_disk_samples(points, reps, seed, cap=cap).mean())
+        return float(w1_to_disk_samples(points, reps, seed).mean())
     raise ValueError(f"unknown method {method!r}")

@@ -4,7 +4,7 @@ import json
 import pytest
 
 from thinspec import experiments
-from thinspec.cli import main
+from thinspec.cli import build_parser, main
 from thinspec.spectral import EigensolverError, spiral_compare
 
 
@@ -198,9 +198,15 @@ def test_exit_code_2_on_zero_replicates(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("field, value, expected", [
-    ("n_list", 64, "'n_list' must be a list, got 64"),
+    ("n_list", 64, "'n_list' must be a list of integers, got 64"),
     ("ensemble", "rademacher", "'ensemble' must be an object, got 'rademacher'"),
-], ids=["n_list", "ensemble"])
+    ("n_list", "64", "'n_list' must be a list of integers, got '64'"),
+    ("allow_large_k", "false", "'allow_large_k' must be a boolean, got 'false'"),
+    ("replicates", 2.7, "'replicates' must be an integer, got 2.7"),
+    ("k", "x", "'k' must be an integer or null, got 'x'"),
+    ("n_list", [None], "'n_list' must be a list of integers, got [None]"),
+], ids=["n_list", "ensemble", "n_list_string", "bool_string", "int_float", "k_string",
+        "n_list_null"])
 def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, expected):
     cfg = tmp_path / "bad_type.json"
     cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [4], "replicates": 2, field: value}))
@@ -208,3 +214,62 @@ def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, 
     err = capsys.readouterr().err
     assert err.startswith("error: config field ")
     assert expected in err
+
+
+# Each (subcommand, flag) pair that no subcommand code reads: a usage error.
+REMOVED_FLAGS = [
+    ("sample", "--config", "c.json"), ("sample", "--threads", "2"),
+    ("spectrum", "--config", "c.json"), ("spectrum", "--threads", "2"),
+    ("lattice", "--config", "c.json"), ("lattice", "--seed", "9"), ("lattice", "--threads", "2"),
+    ("variance", "--config", "c.json"), ("variance", "--seed", "9"), ("variance", "--threads", "2"),
+    ("variance", "--out", "v.txt"),
+    ("thinning-bound", "--seed", "9"), ("thinning-bound", "--threads", "2"),
+    ("thinning-bound", "--ensemble", "rademacher"), ("thinning-bound", "--n-list", "4"),
+    ("thinning-bound", "--f", "abs2"),
+    ("wasserstein", "--f", "abs2"), ("local-law", "--f", "abs2"),
+]
+REQUIRED = {"sample": ["--n", "2"], "spectrum": ["--n", "2"], "lattice": ["--n", "4"],
+            "thinning-bound": ["--n-max", "3"]}
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
+                         ids=[f"{c}{f}" for c, f, _ in REMOVED_FLAGS])
+def test_flags_a_subcommand_does_not_read_exit_2(tmp_path, monkeypatch, capsys, command, flag,
+                                                  value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REQUIRED.get(command, []), flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_flag_dests_are_config_keys():
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command").choices
+    outputs = {"help", "config", "out", "summary", "records", "assert_mode"}
+    for name in ("wasserstein", "partial-stats", "full-clt", "local-law", "thinning-bound"):
+        dests = {action.dest for action in subparsers[name]._actions}
+        assert dests - outputs <= set(experiments.CONFIG_FIELDS), name
+
+
+@pytest.mark.parametrize("config", [
+    {"kind": "partial-growing-K", "k_divisor": 0},
+    {"kind": "partial-growing-K", "k_divisor": -1},
+    {"kind": "partial-growing-K", "k": 0},
+    {"kind": "local-law-cells", "grid_bound": 1},
+    {"kind": "wasserstein-decay", "w1_reps": 0},
+    {"kind": "full-clt", "f": "nope"},
+    {"kind": "wasserstein-decay", "n_list": [4097]},
+], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "grid_bound_1", "w1_reps_0",
+        "unknown_f", "wasserstein_above_cap"])
+def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):
+    def no_solve(matrix, scale):
+        raise AssertionError("eigenvalues called for an invalid config")
+
+    monkeypatch.setattr(experiments, "eigenvalues", no_solve)
+    command = {"partial-growing-K": ["partial-stats", "--growing"], "local-law-cells": ["local-law"],
+               "wasserstein-decay": ["wasserstein"], "full-clt": ["full-clt"]}[config["kind"]]
+    cfg = tmp_path / "invalid.json"
+    cfg.write_text(json.dumps({"n_list": [16], "replicates": 2, **config}))
+    assert main([*command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")

@@ -61,6 +61,25 @@ def test_config_validation():
     ExperimentConfig(kind="partial-growing-K", n_list=(256,), k=4)  # 4 = 256^(1/4)
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(kind="partial-growing-K", k_divisor=0),
+    dict(kind="partial-growing-K", k_divisor=-1.0),  # used to give K=1 silently
+    dict(kind="partial-growing-K", k=0),
+    dict(kind="partial-growing-K", k=2, n_list=(1,), allow_large_k=True),
+    dict(kind="local-law-cells", grid_bound=1.0),
+    dict(kind="local-law-cells", grid_bound=0.5),
+    dict(kind="wasserstein-decay", w1_reps=0),
+    dict(kind="full-clt", f_id="nope"),
+    dict(kind="partial-fixed-K", f_id="nope"),
+    dict(kind="wasserstein-decay", n_list=(64, 4097)),
+], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "growing_k_above_n",
+        "grid_bound_1", "grid_bound_below_1", "w1_reps_0", "unknown_f_full",
+        "unknown_f_partial", "wasserstein_above_exact_cap"])
+def test_config_errors_at_construction(kwargs):
+    with pytest.raises(ConfigError):
+        ExperimentConfig(**kwargs)
+
+
 def test_growing_k_rule():
     cfg = ExperimentConfig(kind="partial-growing-K", n_list=(256,))
     assert cfg.k_for(16) == 1  # floor(2 / 1.2)
