@@ -91,14 +91,22 @@ class AtomDistribution:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AtomDistribution":
-        kind = d.get("kind")
-        if kind == "custom-discrete":
-            atoms = tuple(
-                complex(a[0], a[1]) if isinstance(a, (list, tuple)) else complex(a)
-                for a in d.get("atoms", ())
+        """Inverse of `to_dict`; an atom may also be a plain number."""
+        unknown = sorted(set(d) - {"kind", "atoms", "probs"})
+        if unknown:
+            raise DistributionError(
+                f"unknown ensemble field(s) {unknown}; known: ['atoms', 'kind', 'probs']"
             )
-            return cls(kind=kind, atoms=atoms, probs=tuple(d.get("probs", ())))
-        return cls(kind=kind)
+        atoms = tuple(_atom_from_json(a) for a in d.get("atoms", ()))
+        return cls(kind=d.get("kind"), atoms=atoms, probs=tuple(d.get("probs", ())))
+
+
+def _atom_from_json(a) -> complex:
+    """A number, or a [re, im] pair of numbers, as a complex atom."""
+    parts = list(a) if isinstance(a, (list, tuple)) else [a, 0.0]
+    if len(parts) != 2 or not all(type(p) in (int, float) for p in parts):
+        raise DistributionError(f"atom {a!r} must be a number or a [re, im] pair of numbers")
+    return complex(*parts)
 
 
 @dataclass(frozen=True)

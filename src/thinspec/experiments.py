@@ -8,6 +8,11 @@ Every kind runs the same path: `_replicate` samples each matrix, solves it
 scaled and hands the spectra to the kind's `measure`, and the runner
 summarizes the records per size.  `KINDS` holds each kind's seed streams,
 `measure`, `summarize` and `--assert` gate.
+
+Matrix seeds do not depend on what is measured, so the spectra of the most
+recent run are kept in `_SPECTRA`: a run of the same kind, base seed and
+ensemble that differs only in f, K, method, w1_reps or grid bound reads
+them instead of solving again, and gives the same records.
 """
 
 from __future__ import annotations
@@ -152,8 +157,8 @@ class ExperimentConfig:
                 raise ConfigError(message)
             try:
                 kwargs[CONFIG_FIELDS[key].name] = convert(value)
-            except DistributionError:
-                raise
+            except DistributionError as exc:
+                raise ConfigError(f"config field {key!r}: {exc}") from exc
             except (TypeError, ValueError) as exc:  # a malformed ensemble object
                 raise ConfigError(message) from exc
         return cls(**kwargs)
@@ -185,46 +190,77 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # The replicate path and the runner
 
-def _replicate(args):
-    """One replicate: (record, None), or (None, reason) when a solve fails.
+# Spectra of the most recent run, by (run, n, replicate): the replicate's
+# read-only scaled spectra, or the reason its solve failed.  `run` is (kind,
+# base seed, ensemble JSON), which with n and the replicate fixes every
+# matrix seed; a run with another identity clears the memo first.
+_SPECTRA: dict = {}
 
-    `seeds` maps each of the kind's seed fields to its derived seed.  Module
-    level so process pools can pickle it.
+# Most eigenvalue bytes the memo holds; a size that would pass it is not stored.
+_SPECTRA_BUDGET = 64 << 20
+
+
+def _read_only(spectra: list) -> list:
+    for spectrum in spectra:
+        spectrum.values.flags.writeable = False
+    return spectra
+
+
+def _replicate(args):
+    """One replicate: (record, spectra), or (None, reason) when a solve fails.
+
+    `seeds` maps each of the kind's seed fields to its derived seed; `solved`
+    is the replicate's memoized spectra or failure reason, or None to sample
+    and solve.  Module level so process pools can pickle it.
     """
-    config, n, seeds = args
+    config, n, seeds, solved = args
     spec = KINDS[config.kind]
-    try:
-        spectra = [
-            eigenvalues(sample_matrix(dist or config.ensemble, n, seeds[name]), scale=True)
-            for name, dist in spec.solves
-        ]
-    except EigensolverError as exc:
-        return None, str(exc)
-    return {"n": n, **seeds, **spec.measure(config, n, spectra, seeds)}, None
+    if solved is None:
+        try:
+            solved = _read_only([
+                eigenvalues(sample_matrix(dist or config.ensemble, n, seeds[name]), scale=True)
+                for name, dist in spec.solves
+            ])
+        except EigensolverError as exc:
+            solved = str(exc)
+    if isinstance(solved, str):
+        return None, solved
+    return {"n": n, **seeds, **spec.measure(config, n, solved, seeds)}, solved
 
 
 def _replicate_records(config: ExperimentConfig, n: int) -> list:
     """Records of the replicates at size n in replicate order, failed solves dropped.
 
+    Replicates held in `_SPECTRA` are measured without a solve; the others'
+    outcomes are stored there while the memo stays within _SPECTRA_BUDGET.
     Raises SkipBudgetError when more than MAX_SKIP_FRACTION of them failed.
     """
+    run = (config.kind, config.base_seed,
+           json.dumps(config.ensemble.to_dict(), sort_keys=True, separators=(",", ":")))
+    if _SPECTRA and next(iter(_SPECTRA))[0] != run:
+        _SPECTRA.clear()
     streams = KINDS[config.kind].streams
     args = [
         (config, n, {
             name: derive_seed(config.base_seed, config.kind, n, r, tag)
             for name, tag in streams.items()
-        })
+        }, _SPECTRA.get((run, n, r)))
         for r in range(config.replicates)
     ]
-    if config.threads <= 1 or len(args) <= 1:
+    if config.threads <= 1 or sum(solved is None for *_, solved in args) <= 1:
         outcomes = [_replicate(a) for a in args]
     else:
         with ProcessPoolExecutor(max_workers=config.threads) as pool:
             outcomes = list(pool.map(_replicate, args))
+    size = {(run, n, r): solved for r, (_, solved) in enumerate(outcomes)}
+    spectra = [s for v in {**_SPECTRA, **size}.values() if not isinstance(v, str) for s in v]
+    if sum(s.values.nbytes for s in spectra) <= _SPECTRA_BUDGET:
+        _SPECTRA.update(size)
+        _read_only(spectra)  # a pool's spectra arrive writeable
     records = []
-    for replicate, (record, error) in enumerate(outcomes):
+    for replicate, (record, solved) in enumerate(outcomes):
         if record is None:
-            log.warning("replicate %d skipped: %s", replicate, error)
+            log.warning("replicate %d skipped: %s", replicate, solved)
         else:
             records.append({"kind": config.kind, "replicate": replicate, **record})
     skipped = len(outcomes) - len(records)

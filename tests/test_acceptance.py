@@ -12,6 +12,7 @@ import time
 import numpy as np
 import pytest
 
+from thinspec import experiments
 from thinspec.ensembles import AtomDistribution, atom_moments
 from thinspec.experiments import (
     ExperimentConfig,
@@ -278,8 +279,12 @@ def test_criterion_12_byte_identical_replay():
         kind="partial-fixed-K", n_list=(64,), k=2, f_id="re", replicates=10,
         base_seed=61,
     )
+    # each run solves its own matrices, not the previous run's memoized spectra
+    experiments._SPECTRA.clear()
     first = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    experiments._SPECTRA.clear()
     second = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    experiments._SPECTRA.clear()
     threaded = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=3)))
     ok = first == second == threaded
     _report(

@@ -205,8 +205,12 @@ def test_exit_code_2_on_zero_replicates(tmp_path, capsys, argv):
     ("replicates", 2.7, "'replicates' must be an integer, got 2.7"),
     ("k", "x", "'k' must be an integer or null, got 'x'"),
     ("n_list", [None], "'n_list' must be a list of integers, got [None]"),
+    ("ensemble", {"kind": "custom-discrete", "atoms": [[1]], "probs": [1.0]},
+     "'ensemble': atom [1] must be a number or a [re, im] pair of numbers"),
+    ("ensemble", {"kind": "custom-discrete", "atoms": [1, -1], "probs": [0.5, 0.5], "extra": 1},
+     "'ensemble': unknown ensemble field(s) ['extra']"),
 ], ids=["n_list", "ensemble", "n_list_string", "bool_string", "int_float", "k_string",
-        "n_list_null"])
+        "n_list_null", "ensemble_atom", "ensemble_extra_key"])
 def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, expected):
     cfg = tmp_path / "bad_type.json"
     cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [4], "replicates": 2, field: value}))

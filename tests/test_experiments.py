@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import logging
 import math
 import tracemalloc
 import warnings
@@ -7,6 +9,7 @@ import pytest
 
 from thinspec import experiments
 from thinspec.ensembles import AtomDistribution
+from thinspec.spectral import EigensolverError, eigenvalues
 from thinspec.experiments import (
     KINDS,
     ConfigError,
@@ -176,8 +179,8 @@ def test_wasserstein_lattice_method():
 def test_local_law_same_seed_has_zero_discrepancy():
     # identical Ginibre draws produce identical spectra, hence zero discrepancy
     cfg = ExperimentConfig(kind="local-law-cells", n_list=(32,), grid_bound=1.25)
-    record, error = _replicate((cfg, 32, {"seed_x": 123, "seed_g": 123}))
-    assert error is None
+    record, solved = _replicate((cfg, 32, {"seed_x": 123, "seed_g": 123}, None))
+    assert not isinstance(solved, str)
     assert record["max_cell_discrepancy"] == 0
     assert record["x_in_grid"] == record["g_in_grid"]
 
@@ -259,6 +262,121 @@ def test_jsonl_reproducibility_across_threads():
     assert one == two == again
     header = json.loads(one.splitlines()[0])
     assert header["config_hash"] == config_hash(ExperimentConfig(**base))
+
+
+def _count_solves(monkeypatch) -> list:
+    """Route experiments' solves through a wrapper; returns the list of solved matrices."""
+    calls = []
+
+    def counted(m, scale):
+        calls.append((m.dist_kind, m.n, m.seed))
+        return eigenvalues(m, scale=scale)
+
+    monkeypatch.setattr(experiments, "eigenvalues", counted)
+    return calls
+
+
+def _outputs(config):
+    result = run_experiment(config)
+    return records_jsonl(result), json.dumps(result.summary, sort_keys=True)
+
+
+# Runs at one kind, base seed and ensemble that measure the same matrices differently.
+SWEEPS = {
+    "f": [dict(kind="partial-fixed-K", n_list=(16,), k=2, f_id=f)
+          for f in ("re", "abs2", "repow_3")],
+    "k": [dict(kind="partial-fixed-K", n_list=(16,), k=k) for k in (1, 3, 16)],
+    "n_list": [dict(kind="partial-fixed-K", n_list=(12, 16), k=1, f_id=f)
+               for f in ("re", "abs2")],
+    "method": [dict(kind="wasserstein-decay", n_list=(9, 16), method=m, w1_reps=w)
+               for m, w in (("sample", 1), ("sample", 2), ("lattice", 1))],
+    "grid_bound": [dict(kind="local-law-cells", n_list=(16,), grid_bound=b) for b in (1.25, 1.5)],
+}
+
+
+@pytest.mark.parametrize("sweep", SWEEPS.values(), ids=SWEEPS.keys())
+def test_sweep_solves_each_matrix_once_with_unchanged_records(monkeypatch, sweep):
+    configs = [ExperimentConfig(**c, replicates=5, base_seed=17) for c in sweep]
+    separate = []
+    for config in configs:
+        experiments._SPECTRA.clear()
+        separate.append(_outputs(config))
+    experiments._SPECTRA.clear()
+    calls = _count_solves(monkeypatch)
+    assert [_outputs(config) for config in configs] == separate
+    solves_per_replicate = len(KINDS[configs[0].kind].solves)
+    assert len(calls) == len(set(calls)) == 5 * len(configs[0].n_list) * solves_per_replicate
+
+
+def test_pool_run_fills_the_memo_with_read_only_spectra(monkeypatch):
+    base = dict(kind="partial-fixed-K", n_list=(16,), k=2, replicates=4, base_seed=5)
+    threaded = ExperimentConfig(**base, f_id="re", threads=2)
+    swept = ExperimentConfig(**base, f_id="abs2")
+    expected = _outputs(swept)
+    experiments._SPECTRA.clear()
+    run_experiment(threaded)
+    calls = _count_solves(monkeypatch)
+    assert _outputs(swept) == expected
+    assert calls == []
+    spectra = [s for solved in experiments._SPECTRA.values() for s in solved]
+    assert len(spectra) == 4
+    for spectrum in spectra:
+        with pytest.raises(ValueError):
+            spectrum.values[0] = 0
+
+
+@pytest.mark.parametrize("change", [
+    dict(kind="partial-growing-K"),
+    dict(base_seed=18),
+    dict(n_list=(12,)),
+    dict(ensemble=AtomDistribution("rademacher")),
+    dict(ensemble=AtomDistribution("custom-discrete", atoms=(1, -1), probs=(0.5, 0.5))),
+], ids=["kind", "base_seed", "n", "ensemble", "ensemble_params"])
+def test_memo_misses_on_another_matrix_identity(monkeypatch, change):
+    base = dict(kind="partial-fixed-K", n_list=(16,), k=1, replicates=4, base_seed=17,
+                ensemble=AtomDistribution("custom-discrete", atoms=(1j, -1j), probs=(0.5, 0.5)))
+    run_experiment(ExperimentConfig(**base))
+    calls = _count_solves(monkeypatch)
+    run_experiment(ExperimentConfig(**{**base, **change}))
+    assert len(calls) == 4
+    # one run is kept: another identity drops the earlier spectra, another n adds to them
+    assert len(experiments._SPECTRA) == (8 if "n_list" in change else 4)
+
+
+def test_failed_solve_is_replayed_without_a_second_call(monkeypatch, caplog):
+    config = ExperimentConfig(kind="full-clt", n_list=(8,), replicates=100, base_seed=3)
+    bad = derive_seed(3, "full-clt", 8, 7, "matrix")
+    calls = []
+
+    def solve(m, scale):
+        calls.append(m.seed)
+        if m.seed == bad:
+            raise EigensolverError(f"forced failure for seed={m.seed}")
+        return eigenvalues(m, scale=scale)
+
+    monkeypatch.setattr(experiments, "eigenvalues", solve)
+    with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+        first = run_experiment(config)
+        second = run_experiment(dataclasses.replace(config, f_id="abs2"))
+    assert len(calls) == 100
+    assert [r["replicate"] for r in first.records] == [r for r in range(100) if r != 7]
+    assert [r["replicate"] for r in second.records] == [r["replicate"] for r in first.records]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"replicate 7 skipped: forced failure for seed={bad}"
+    ] * 2
+
+
+def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
+    # 4 replicates x n eigenvalues x 16 bytes: 1 KiB at n=16, 2 KiB more at n=32
+    monkeypatch.setattr(experiments, "_SPECTRA_BUDGET", 2 * 1024)
+    base = dict(kind="full-clt", n_list=(16, 32), replicates=4, base_seed=9)
+    expected = _outputs(ExperimentConfig(**base, f_id="abs2"))
+    experiments._SPECTRA.clear()
+    run_experiment(ExperimentConfig(**base, f_id="re"))
+    assert {n for _, n, _ in experiments._SPECTRA} == {16}
+    calls = _count_solves(monkeypatch)
+    assert _outputs(ExperimentConfig(**base, f_id="abs2")) == expected
+    assert [n for _, n, _ in calls] == [32] * 4
 
 
 def test_records_are_replicate_ordered_and_json_clean():
