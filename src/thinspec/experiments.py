@@ -197,7 +197,10 @@ class ExperimentResult:
 _SPECTRA: dict = {}
 
 # Most eigenvalue bytes the memo holds; a size that would pass it is not stored.
-_SPECTRA_BUDGET = 64 << 20
+# 16 MiB holds 1000 replicates at n=1024 (16 KiB each); a run that no later
+# run reads back, such as a CLI run, pays at most this plus about 0.5 KB of
+# bookkeeping per replicate.
+_SPECTRA_BUDGET = 16 << 20
 
 
 def _read_only(spectra: list) -> list:
