@@ -1,7 +1,7 @@
 """Thinned statistics of every test function against their limits, as one CSV table.
 
 For each built-in test function f with nonzero disk variance, runs
-partial-fixed-K at each K of --k-list and partial-growing-K, at one size
+partial-fixed-K at K = 1, 2, 4 and partial-growing-K, at one size
 and seed, and prints one row per run: the variance of the removed part
 against its limit (K Var Re f(U) for fixed K, Var Re f(U) after the sqrt(K)
 normalisation for growing K), the two-sample KS p-value against the limit
@@ -24,6 +24,7 @@ import sys
 from thinspec.experiments import KINDS, ExperimentConfig, run_experiment
 from thinspec.stats import BUILTIN_FUNCTIONS, disk_moments
 
+K_LIST = (1, 2, 4)
 COLUMNS = ("kind", "f", "n", "k", "replicates", "removed_var", "target_var", "ks_p", "gate")
 
 # Summary-row keys of the removed part's variance and its limit, per kind.
@@ -33,12 +34,12 @@ _VARIANCE_KEYS = {
 }
 
 
-def sweep(n: int, reps: int, seed: int, threads: int, k_list) -> list:
+def sweep(n: int, reps: int, seed: int) -> list:
     """The table's rows, the fixed-K runs first, then the growing-K runs."""
     f_ids = [f_id for f_id, f in BUILTIN_FUNCTIONS.items() if disk_moments(f).var_re > 0]
-    base = dict(n_list=(n,), replicates=reps, base_seed=seed, threads=threads)
+    base = dict(n_list=(n,), replicates=reps, base_seed=seed)
     configs = [ExperimentConfig(kind="partial-fixed-K", k=k, f_id=f_id, **base)
-               for k in k_list for f_id in f_ids]
+               for k in K_LIST for f_id in f_ids]
     configs += [ExperimentConfig(kind="partial-growing-K", f_id=f_id, **base) for f_id in f_ids]
     rows = []
     for config in configs:
@@ -56,13 +57,10 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=256, help="matrix size (default 256)")
     parser.add_argument("--reps", type=int, default=500, help="replicates per run (default 500)")
     parser.add_argument("--seed", type=int, default=11, help="base seed (default 11)")
-    parser.add_argument("--threads", type=int, default=1, help="worker processes (default 1)")
-    parser.add_argument("--k-list", type=lambda s: [int(k) for k in s.split(",")],
-                        default=[1, 2, 4], help="fixed removal counts (default 1,2,4)")
     args = parser.parse_args(argv)
     writer = csv.writer(sys.stdout)
     writer.writerow(COLUMNS)
-    writer.writerows(sweep(args.n, args.reps, args.seed, args.threads, args.k_list))
+    writer.writerows(sweep(args.n, args.reps, args.seed))
     return 0
 
 

@@ -256,8 +256,11 @@ def test_thinning_bound_run():
 
 def test_jsonl_reproducibility_across_threads():
     base = dict(kind="partial-fixed-K", n_list=(24,), k=2, f_id="re", replicates=8, base_seed=13)
+    # each run solves its own matrices, not the previous run's memoized spectra
     one = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    experiments._SPECTRA.clear()
     two = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=2)))
+    experiments._SPECTRA.clear()
     again = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
     assert one == two == again
     header = json.loads(one.splitlines()[0])

@@ -23,12 +23,12 @@ def test_thinned_table_solves_each_matrix_once_per_kind(monkeypatch, capsys):
         return eigenvalues(m, scale=scale)
 
     monkeypatch.setattr(experiments, "eigenvalues", counted)
-    assert table.main(["--n", "16", "--reps", "10", "--seed", "3", "--k-list", "1,2"]) == 0
+    assert table.main(["--n", "16", "--reps", "10", "--seed", "3"]) == 0
     lines = capsys.readouterr().out.splitlines()
-    # five functions of nonzero disk variance, each at K = 1, 2 and growing K
+    # five functions of nonzero disk variance, each at K = 1, 2, 4 and growing K
     assert lines[0] == ",".join(table.COLUMNS)
-    assert len(lines) == 1 + 5 * 3
-    # one solve per matrix of each kind: 20 solves for 150 measured replicates
+    assert len(lines) == 1 + 5 * 4
+    # one solve per matrix of each kind: 20 solves for 200 measured replicates
     assert len(calls) == len(set(calls)) == 2 * 10
 
     run = experiments.run_experiment
@@ -38,6 +38,6 @@ def test_thinned_table_solves_each_matrix_once_per_kind(monkeypatch, capsys):
         return run(config)
 
     monkeypatch.setattr(table, "run_experiment", solving_anew)
-    table.main(["--n", "16", "--reps", "10", "--seed", "3", "--k-list", "1,2"])
+    table.main(["--n", "16", "--reps", "10", "--seed", "3"])
     assert capsys.readouterr().out.splitlines() == lines
-    assert len(calls) == 20 + 15 * 10
+    assert len(calls) == 20 + 20 * 10
