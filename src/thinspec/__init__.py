@@ -19,21 +19,11 @@ from .experiments import (
     ExperimentResult,
     derive_seed,
     run_experiment,
-    run_full_clt,
-    run_local_law_cells,
-    run_partial_fixed_K,
-    run_partial_growing_K,
-    run_thinning_bound,
-    run_wasserstein_decay,
 )
 from .lattice import LatticeParams, PredictedLattice, lattice, lattice_params, predicted_location
 from .spectral import (
-    Annulus,
     ComplexSpectrum,
-    Disk,
     EigensolverError,
-    Square,
-    count_in_region,
     eigenvalues,
     spectral_radius,
     spiral_compare,

@@ -7,8 +7,8 @@ the flags given override those fields of `--config`.
 
 Exit codes: 0 on success, 2 on usage and configuration errors (unknown
 config keys included), 3 when an --assert threshold fails (CI mode), 4 when
-more replicates fail to solve than the skip budget allows.  The --assert
-thresholds live in each kind's entry of `experiments.KINDS`.
+more replicates fail to solve than the skip budget allows; any other error
+is a fault and propagates.  The --assert thresholds live in `experiments.KINDS`.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .experiments import (
     write_records_jsonl,
     write_summary_csv,
 )
-from .lattice import lattice, ring_and_slot
+from .lattice import MIN_N, lattice, ring_and_slot
 from .spectral import eigenvalues, spiral_sort
 from .stats import FunctionLookupError, ginibre_variance, function_by_id
 
@@ -77,7 +77,10 @@ def _config_dict(args) -> dict:
     config = {}
     if args.config:
         with open(args.config, "r", encoding="utf-8") as handle:
-            config = json.load(handle)
+            try:
+                config = json.load(handle)
+            except ValueError as exc:  # not UTF-8, or not JSON
+                raise ConfigError(f"config file {args.config} is not UTF-8 JSON: {exc}") from exc
         if not isinstance(config, dict):
             raise ConfigError("config file must hold a JSON object")
     config.setdefault("kind", args.kind)
@@ -97,8 +100,15 @@ def _write_csv(path, fieldnames, rows):
         writer.writerows(rows)
 
 
+def _sampled_matrix(args):
+    """The matrix of `--ensemble`, `--n` and `--seed`; a bad size or seed is a ConfigError."""
+    if args.n < 1 or not 0 <= args.base_seed < 2 ** 128:
+        raise ConfigError(f"need --n >= 1 and 0 <= --seed < 2**128, got {args.n}, {args.base_seed}")
+    return sample_matrix(AtomDistribution(args.ensemble), args.n, args.base_seed)
+
+
 def _cmd_sample(args) -> int:
-    matrix = sample_matrix(AtomDistribution(args.ensemble), args.n, args.base_seed)
+    matrix = _sampled_matrix(args)
     rows = [
         (i, j, repr(float(matrix.entries[i, j].real)), repr(float(matrix.entries[i, j].imag)))
         for i in range(args.n)
@@ -109,8 +119,7 @@ def _cmd_sample(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    matrix = sample_matrix(AtomDistribution(args.ensemble), args.n, args.base_seed)
-    spectrum = spiral_sort(eigenvalues(matrix, scale=True))
+    spectrum = spiral_sort(eigenvalues(_sampled_matrix(args), scale=True))
     rows = [
         (idx, repr(float(z.real)), repr(float(z.imag)))
         for idx, z in enumerate(spectrum.values, start=1)
@@ -120,6 +129,8 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
+    if args.n < MIN_N:
+        raise ConfigError(f"lattice needs --n >= {MIN_N}, got {args.n}")
     grid = lattice(args.n)
     rows = [
         (idx, repr(float(z.real)), repr(float(z.imag)), *ring_and_slot(idx))
@@ -217,7 +228,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.run(args)
-    except (ConfigError, DistributionError, FunctionLookupError, ValueError, OSError,
+    except (ConfigError, DistributionError, FunctionLookupError, OSError,
             SkipBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4 if isinstance(exc, SkipBudgetError) else 2

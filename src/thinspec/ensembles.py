@@ -7,6 +7,7 @@ available analytically through `atom_moments`.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +63,8 @@ class AtomDistribution:
         object.__setattr__(self, "probs", probs)
         if len(atoms) == 0 or len(atoms) != len(probs):
             raise DistributionError("custom-discrete needs matching nonempty atoms/probs")
+        if not all(map(cmath.isfinite, atoms + probs)):
+            raise DistributionError("atoms and probabilities must be finite")
         if any(p < 0 for p in probs):
             raise DistributionError("probabilities must be nonnegative")
         if abs(math.fsum(probs) - 1.0) > _PARAM_TOL:
@@ -98,7 +101,10 @@ class AtomDistribution:
                 f"unknown ensemble field(s) {unknown}; known: ['atoms', 'kind', 'probs']"
             )
         atoms = tuple(_atom_from_json(a) for a in d.get("atoms", ()))
-        return cls(kind=d.get("kind"), atoms=atoms, probs=tuple(d.get("probs", ())))
+        probs = tuple(d.get("probs", ()))
+        if not all(type(p) in (int, float) for p in probs):  # a bool is no number
+            raise DistributionError(f"probs {list(probs)!r} must be numbers")
+        return cls(kind=d.get("kind"), atoms=atoms, probs=probs)
 
 
 def _atom_from_json(a) -> complex:
@@ -125,10 +131,6 @@ class ComplexMatrix:
         if not np.all(np.isfinite(entries.view(np.float64))):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", entries)
-
-    @property
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
 
 
 def atom_moments(dist: AtomDistribution) -> MomentSummary:

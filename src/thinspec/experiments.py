@@ -31,6 +31,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
+from .lattice import MIN_N
 from .seeding import derive_seed64, make_rng
 from .spectral import EigensolverError, eigenvalues, spectral_radius
 from .stats import (
@@ -114,6 +115,12 @@ class ExperimentConfig:
             (self.kind == "thinning-bound" and self.n_max < 1, "n_max must be >= 1"),
             (self.kind == "wasserstein-decay" and any(n > DEFAULT_EXACT_CAP for n in self.n_list),
              f"wasserstein-decay needs n <= {DEFAULT_EXACT_CAP}, the exact-W1 cap"),
+            (self.kind == "wasserstein-decay" and self.method == "lattice"
+             and any(n < MIN_N for n in self.n_list),
+             f"the lattice method needs n >= {MIN_N}"),
+            (self.kind == "full-clt" and not self.ensemble.is_real
+             and abs(atom_moments(self.ensemble).second) > 1e-9,
+             "full-clt with a complex atom needs E[xi^2] = 0"),
         ):
             if invalid:
                 raise ConfigError(message)
@@ -286,24 +293,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         sizes = [(n, _replicate_records(config, n)) for n in config.n_list]
     records = [record for _, rows in sizes for record in rows]
     return ExperimentResult(config, records, KINDS[config.kind].summarize(config, sizes))
-
-
-def _kind_checked(kind: str):
-    def run(config: ExperimentConfig) -> ExperimentResult:
-        if config.kind != kind:
-            raise ConfigError(f"expected kind {kind}, got {config.kind}")
-        return run_experiment(config)
-
-    run.__doc__ = f"`run_experiment` for a {kind} config; ConfigError for other kinds."
-    return run
-
-
-run_partial_fixed_K = _kind_checked("partial-fixed-K")
-run_partial_growing_K = _kind_checked("partial-growing-K")
-run_full_clt = _kind_checked("full-clt")
-run_wasserstein_decay = _kind_checked("wasserstein-decay")
-run_local_law_cells = _kind_checked("local-law-cells")
-run_thinning_bound = _kind_checked("thinning-bound")
 
 
 # ---------------------------------------------------------------------------

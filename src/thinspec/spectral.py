@@ -1,15 +1,13 @@
-"""Eigenvalue extraction, the spiral ordering, and region counting.
+"""Eigenvalue extraction and the spiral ordering.
 
 Angles throughout use the convention arg z in (0, 2*pi], so a positive real
-number has argument 2*pi.  Disks and annuli include their boundary; squares
-are half-open (a <= Re z < b, c <= Im z < d).
+number has argument 2*pi.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -44,72 +42,17 @@ class ComplexSpectrum:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class Disk:
-    """Closed disk |z - center| <= radius."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        return np.abs(np.asarray(z) - self.center) <= self.radius
-
-
-@dataclass(frozen=True)
-class Square:
-    """Half-open axis-aligned square a <= Re z < b, c <= Im z < d."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-
-    def __post_init__(self):
-        side = self.b - self.a
-        if side <= 0 or abs(side - (self.d - self.c)) > 1e-12 * max(1.0, abs(side)):
-            raise ValueError("square sides must be positive and equal")
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        z = np.asarray(z)
-        re, im = z.real, z.imag
-        return (re >= self.a) & (re < self.b) & (im >= self.c) & (im < self.d)
-
-
-@dataclass(frozen=True)
-class Annulus:
-    """Closed annulus r_in <= |z| <= r_out about the origin."""
-
-    r_in: float
-    r_out: float
-
-    def __post_init__(self):
-        if not 0 <= self.r_in <= self.r_out:
-            raise ValueError("need 0 <= r_in <= r_out")
-
-    def contains(self, z: np.ndarray) -> np.ndarray:
-        mod = np.abs(np.asarray(z))
-        return (mod >= self.r_in) & (mod <= self.r_out)
-
-
-Region = Union[Disk, Square, Annulus]
-
-
 def arg_in_2pi(z: np.ndarray) -> np.ndarray:
     """Argument in (0, 2*pi]; positive reals map to 2*pi."""
     a = np.angle(z)
     return np.where(a <= 0.0, a + 2.0 * np.pi, a)
 
 
-def eigenvalues(m: ComplexMatrix, scale: bool, check_residual: bool = False) -> ComplexSpectrum:
+def eigenvalues(m: ComplexMatrix, scale: bool) -> ComplexSpectrum:
     """Dense spectrum of `m`, ordered by (modulus, argument).
 
     Uses a backward-stable Schur-based general eigensolver.  With `scale`
-    the eigenvalues of m / sqrt(n) are returned.  `check_residual` runs an
-    inverse-iteration residual assertion on one eigenpair (debug aid).
+    the eigenvalues of m / sqrt(n) are returned.
     """
     try:
         vals = np.linalg.eigvals(m.entries)
@@ -117,30 +60,10 @@ def eigenvalues(m: ComplexMatrix, scale: bool, check_residual: bool = False) -> 
         raise EigensolverError(
             f"eigensolver failed for n={m.n}, dist={m.dist_kind}, seed={m.seed}: {exc}"
         ) from exc
-    if check_residual:
-        _assert_eigenpair_residual(m.entries, vals)
     if scale:
         vals = vals / math.sqrt(m.n)
     order = np.lexsort((arg_in_2pi(vals), np.abs(vals)))
     return ComplexSpectrum(values=vals[order], scaled=scale)
-
-
-def _assert_eigenpair_residual(a: np.ndarray, vals: np.ndarray, tol: float = 1e-6):
-    """Inverse iteration on the largest eigenvalue; residual <= tol * ||A||."""
-    lam = vals[np.argmax(np.abs(vals))]
-    n = a.shape[0]
-    scale = np.linalg.norm(a, ord="fro") / math.sqrt(n)
-    shifted = a - (lam + 1e-10 * (1 + abs(lam))) * np.eye(n)
-    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
-    for _ in range(3):
-        v = np.linalg.solve(shifted, v)
-        v = v / np.linalg.norm(v)
-    residual = np.linalg.norm(a @ v - lam * v)
-    norm = np.linalg.norm(a, ord=2) if n <= 64 else scale * math.sqrt(n)
-    if residual > tol * max(norm, 1.0):
-        raise EigensolverError(
-            f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * ||A||"
-        )
 
 
 def spiral_key(z: complex, n: int) -> tuple:
@@ -197,11 +120,6 @@ def spiral_sort(s: ComplexSpectrum) -> ComplexSpectrum:
     """Spectrum re-ordered by the spiral order; stable on full-key ties."""
     order = _spiral_order(s.values, s.n)
     return ComplexSpectrum(values=s.values[order], scaled=s.scaled)
-
-
-def count_in_region(s: ComplexSpectrum, region: Region) -> int:
-    """Number of spectrum points inside `region` (boundary per region type)."""
-    return int(np.count_nonzero(region.contains(s.values)))
 
 
 def spectral_radius(s: ComplexSpectrum) -> float:

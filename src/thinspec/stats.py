@@ -26,26 +26,18 @@ class FunctionLookupError(KeyError):
 
 @dataclass(frozen=True)
 class TestFunction:
-    """Complex-plane test function with polynomial-tail metadata.
+    """Complex-plane test function.
 
-    `evaluate` must accept complex ndarrays, and |f(z)| <= tail_c * (1 +
-    |z|**tail_m) globally.  Built-ins also carry an exact gradient (d/dx,
-    d/dy) used to validate the finite-difference path.
+    `evaluate` must accept complex ndarrays.  Built-ins also carry an exact
+    gradient (d/dx, d/dy) used to validate the finite-difference path.
     """
 
     __test__ = False  # keep pytest from collecting the domain type
 
     id: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    tail_c: float
-    tail_m: int
     real_valued: bool = True
     gradient: Callable[[np.ndarray], tuple] | None = None
-
-    def check_tail(self, z: np.ndarray) -> bool:
-        """Spot-check the tail bound on the given points."""
-        vals = np.abs(np.asarray(self.evaluate(z)))
-        return bool(np.all(vals <= self.tail_c * (1.0 + np.abs(z) ** self.tail_m) + 1e-9))
 
 
 def _repow(k: int) -> TestFunction:
@@ -56,9 +48,7 @@ def _repow(k: int) -> TestFunction:
         zp = k * np.asarray(z, dtype=np.complex128) ** (k - 1)
         return np.real(zp), -np.imag(zp)
 
-    return TestFunction(
-        id=f"repow_{k}", evaluate=evaluate, tail_c=1.0, tail_m=k, gradient=gradient
-    )
+    return TestFunction(id=f"repow_{k}", evaluate=evaluate, gradient=gradient)
 
 
 BUILTIN_FUNCTIONS: dict[str, TestFunction] = {
@@ -67,15 +57,11 @@ BUILTIN_FUNCTIONS: dict[str, TestFunction] = {
         TestFunction(
             id="const_1",
             evaluate=lambda z: np.ones_like(np.asarray(z), dtype=np.float64),
-            tail_c=1.0,
-            tail_m=0,
             gradient=lambda z: (np.zeros_like(z, dtype=np.float64),) * 2,
         ),
         TestFunction(
             id="re",
             evaluate=lambda z: np.real(z),
-            tail_c=1.0,
-            tail_m=1,
             gradient=lambda z: (
                 np.ones_like(z, dtype=np.float64),
                 np.zeros_like(z, dtype=np.float64),
@@ -84,8 +70,6 @@ BUILTIN_FUNCTIONS: dict[str, TestFunction] = {
         TestFunction(
             id="im",
             evaluate=lambda z: np.imag(z),
-            tail_c=1.0,
-            tail_m=1,
             gradient=lambda z: (
                 np.zeros_like(z, dtype=np.float64),
                 np.ones_like(z, dtype=np.float64),
@@ -94,8 +78,6 @@ BUILTIN_FUNCTIONS: dict[str, TestFunction] = {
         TestFunction(
             id="abs2",
             evaluate=lambda z: np.abs(z) ** 2,
-            tail_c=1.0,
-            tail_m=2,
             gradient=lambda z: (2.0 * np.real(z), 2.0 * np.imag(z)),
         ),
         _repow(2),
@@ -191,20 +173,11 @@ def partial_statistic(s: ComplexSpectrum, f: TestFunction, index_set: IndexSet
     return kept, removed
 
 
-def sample_index_set(n: int, k: int, seed: int, coupled: bool = False) -> IndexSet:
-    """Uniformly random k-subset of 0..n-1.
-
-    With `coupled`, k iid uniform draws are used when they happen to be
-    distinct, falling back to a fresh uniform k-subset on collision; the
-    result is uniform either way.
-    """
+def sample_index_set(n: int, k: int, seed: int) -> IndexSet:
+    """Uniformly random k-subset of 0..n-1."""
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = make_rng(seed)
-    if coupled:
-        draws = rng.integers(0, n, size=k)
-        if np.unique(draws).size == k:
-            return IndexSet(n=n, indices=np.sort(draws))
     idx = rng.choice(n, size=k, replace=False)
     return IndexSet(n=n, indices=np.sort(idx))
 

@@ -17,12 +17,7 @@ from thinspec.ensembles import AtomDistribution, atom_moments
 from thinspec.experiments import (
     ExperimentConfig,
     records_jsonl,
-    run_full_clt,
-    run_local_law_cells,
-    run_partial_fixed_K,
-    run_partial_growing_K,
-    run_thinning_bound,
-    run_wasserstein_decay,
+    run_experiment,
 )
 from thinspec.lattice import lattice_params
 from thinspec.spectral import spiral_compare, spiral_key
@@ -84,7 +79,7 @@ def test_criterion_02_coupling_dominance():
 
 def test_criterion_03_thinning_bound_exhaustive():
     t0 = time.time()
-    result = run_thinning_bound(ExperimentConfig(kind="thinning-bound", n_max=60))
+    result = run_experiment(ExperimentConfig(kind="thinning-bound", n_max=60))
     elapsed = time.time() - t0
     _report(
         3,
@@ -183,7 +178,7 @@ def test_criterion_07_fixed_thinning_desk_scale():
         kind="partial-fixed-K", n_list=(256,), k=1, f_id="re",
         replicates=2000, base_seed=11,
     )
-    row = run_partial_fixed_K(cfg).summary["rows"][0]
+    row = run_experiment(cfg).summary["rows"][0]
     ok = 0.20 <= row["removed_var"] <= 0.30 and row["ks_p"] > 0.001
     _report(
         7,
@@ -201,7 +196,7 @@ def test_criterion_08_growing_thinning_desk_scale():
         kind="partial-growing-K", n_list=(256,), k=4, f_id="re",
         replicates=1000, base_seed=21,
     )
-    row = run_partial_growing_K(cfg).summary["rows"][0]
+    row = run_experiment(cfg).summary["rows"][0]
     ok = 0.1875 <= row["removed_var_re"] <= 0.3125 and row["ks_p"] > 0.001
     _report(
         8,
@@ -218,7 +213,7 @@ def test_criterion_09_full_clt_desk_scale():
     cfg = ExperimentConfig(
         kind="full-clt", n_list=(256,), f_id="re", replicates=1000, base_seed=31
     )
-    row = run_full_clt(cfg).summary["rows"][0]
+    row = run_experiment(cfg).summary["rows"][0]
     ok = 0.375 <= row["full_var"] <= 0.625
     _report(
         9,
@@ -236,7 +231,7 @@ def test_criterion_10_wasserstein_decay():
         kind="wasserstein-decay", n_list=(64, 256, 1024), replicates=10,
         base_seed=101, method="sample",
     )
-    rows = run_wasserstein_decay(cfg).summary["rows"]
+    rows = run_experiment(cfg).summary["rows"]
     means = [row["w1_mean"] for row in rows]
     decreasing = all(b < a for a, b in zip(means, means[1:]))
     below = all(
@@ -258,7 +253,7 @@ def test_criterion_11_local_law_cells():
         kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
         n_list=(1024,), replicates=10, base_seed=51,
     )
-    row = run_local_law_cells(cfg).summary["rows"][0]
+    row = run_experiment(cfg).summary["rows"][0]
     ok = (
         row["max_normalized_discrepancy"] <= 5.0
         and row["contained_trials"] == 10
@@ -281,11 +276,11 @@ def test_criterion_12_byte_identical_replay():
     )
     # each run solves its own matrices, not the previous run's memoized spectra
     experiments._SPECTRA.clear()
-    first = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    first = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
     experiments._SPECTRA.clear()
-    second = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    second = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
     experiments._SPECTRA.clear()
-    threaded = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=3)))
+    threaded = records_jsonl(run_experiment(ExperimentConfig(**base, threads=3)))
     ok = first == second == threaded
     _report(
         12,

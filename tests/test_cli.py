@@ -158,6 +158,25 @@ def test_exit_code_2_on_errors(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "wasserstein-decay"}))
     assert main(["full-clt", "--config", str(cfg)]) == 2
     capsys.readouterr()
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("{bad")
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b"\xff\xfe")
+    for argv in (["lattice", "--n", "5"], ["sample", "--n", "0"],
+                 ["spectrum", "--n", "4", "--seed", "-1"],
+                 ["full-clt", "--config", str(not_json)],
+                 ["full-clt", "--config", str(not_utf8)]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err.startswith("error: "), argv
+
+
+def test_internal_value_error_escapes_main(monkeypatch):
+    def broken_statistic(spectrum, f):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(experiments, "linear_statistic", broken_statistic)
+    with pytest.raises(ValueError, match="internal bug"):
+        main(["full-clt", "--n-list", "4", "--reps", "2"])
 
 
 def test_exit_code_2_on_misspelled_config_key(tmp_path, capsys):
@@ -209,8 +228,13 @@ def test_exit_code_2_on_zero_replicates(tmp_path, capsys, argv):
      "'ensemble': atom [1] must be a number or a [re, im] pair of numbers"),
     ("ensemble", {"kind": "custom-discrete", "atoms": [1, -1], "probs": [0.5, 0.5], "extra": 1},
      "'ensemble': unknown ensemble field(s) ['extra']"),
+    ("ensemble", {"kind": "custom-discrete", "atoms": [1, -1], "probs": ["0.5", "0.5"]},
+     "'ensemble': probs ['0.5', '0.5'] must be numbers"),
+    ("ensemble", {"kind": "custom-discrete", "atoms": [1, 0], "probs": [True, False]},
+     "'ensemble': probs [True, False] must be numbers"),
 ], ids=["n_list", "ensemble", "n_list_string", "bool_string", "int_float", "k_string",
-        "n_list_null", "ensemble_atom", "ensemble_extra_key"])
+        "n_list_null", "ensemble_atom", "ensemble_extra_key", "ensemble_probs_string",
+        "ensemble_probs_bool"])
 def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, expected):
     cfg = tmp_path / "bad_type.json"
     cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [4], "replicates": 2, field: value}))
@@ -264,8 +288,16 @@ def test_experiment_flag_dests_are_config_keys():
     {"kind": "wasserstein-decay", "w1_reps": 0},
     {"kind": "full-clt", "f": "nope"},
     {"kind": "wasserstein-decay", "n_list": [4097]},
+    {"kind": "wasserstein-decay", "method": "lattice", "n_list": [4]},
+    {"kind": "full-clt", "ensemble": {"kind": "custom-discrete",
+                                      "atoms": [[0.6, 0.8], [-0.6, -0.8]], "probs": [0.5, 0.5]}},
+    {"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [1, -1],
+                                      "probs": [float("nan")] * 2}},
+    {"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [float("nan"), -1],
+                                      "probs": [0.5, 0.5]}},
 ], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "grid_bound_1", "w1_reps_0",
-        "unknown_f", "wasserstein_above_cap"])
+        "unknown_f", "wasserstein_above_cap", "lattice_below_min_n", "complex_atom_second_moment",
+        "nan_probs", "nan_atom"])
 def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):
     def no_solve(matrix, scale):
         raise AssertionError("eigenvalues called for an invalid config")

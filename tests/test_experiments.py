@@ -20,11 +20,6 @@ from thinspec.experiments import (
     derive_seed,
     records_jsonl,
     run_experiment,
-    run_full_clt,
-    run_partial_fixed_K,
-    run_partial_growing_K,
-    run_thinning_bound,
-    run_wasserstein_decay,
 )
 from thinspec.stats import hypergeom_removal_pmf, near_binomial_bound
 
@@ -111,7 +106,7 @@ def test_partial_fixed_k_records_and_identity():
     cfg = ExperimentConfig(
         kind="partial-fixed-K", n_list=(24,), k=3, f_id="re", replicates=12, base_seed=9
     )
-    result = run_partial_fixed_K(cfg)
+    result = run_experiment(cfg)
     assert len(result.records) == 12
     for rec in result.records:
         assert rec["kept_re"] + rec["removed_re"] == rec["full_re"]
@@ -124,7 +119,7 @@ def test_partial_fixed_k_degenerate_all_removed():
     cfg = ExperimentConfig(
         kind="partial-fixed-K", n_list=(16,), k=16, f_id="re", replicates=10, base_seed=2
     )
-    result = run_partial_fixed_K(cfg)
+    result = run_experiment(cfg)
     assert all(rec["kept_re"] == 0.0 and rec["kept_im"] == 0.0 for rec in result.records)
 
 
@@ -132,7 +127,7 @@ def test_partial_growing_k_const_function_is_degenerate():
     cfg = ExperimentConfig(
         kind="partial-growing-K", n_list=(81,), f_id="const_1", replicates=8, base_seed=4
     )
-    result = run_partial_growing_K(cfg)
+    result = run_experiment(cfg)
     row = result.summary["rows"][0]
     # every removed part equals K exactly, so centered statistics vanish
     assert row["removed_var_re"] == 0.0
@@ -141,7 +136,7 @@ def test_partial_growing_k_const_function_is_degenerate():
 
 def test_full_clt_smoke():
     cfg = ExperimentConfig(kind="full-clt", n_list=(16,), f_id="re", replicates=6, base_seed=5)
-    result = run_full_clt(cfg)
+    result = run_experiment(cfg)
     assert len(result.records) == 6
     assert result.summary["rows"][0]["target_var"] == pytest.approx(0.5, abs=1e-6)
 
@@ -153,7 +148,7 @@ def test_full_clt_rademacher_real_atom_target():
         kind="full-clt", ensemble=AtomDistribution("rademacher"), n_list=(256,),
         f_id="re", replicates=300, base_seed=71,
     )
-    row = run_full_clt(cfg).summary["rows"][0]
+    row = run_experiment(cfg).summary["rows"][0]
     assert row["target_var"] == pytest.approx(1.0, abs=1e-6)
     assert 0.7 <= row["full_var"] <= 1.3
 
@@ -162,7 +157,7 @@ def test_wasserstein_degenerate_small_n_completes():
     cfg = ExperimentConfig(
         kind="wasserstein-decay", n_list=(9,), replicates=3, base_seed=6, method="sample"
     )
-    result = run_wasserstein_decay(cfg)
+    result = run_experiment(cfg)
     assert len(result.records) == 3
     assert all(rec["w1"] > 0 for rec in result.records)
     assert result.summary["rows"][0]["trials"] == 3
@@ -172,7 +167,7 @@ def test_wasserstein_lattice_method():
     cfg = ExperimentConfig(
         kind="wasserstein-decay", n_list=(16,), replicates=2, base_seed=6, method="lattice"
     )
-    result = run_wasserstein_decay(cfg)
+    result = run_experiment(cfg)
     assert all(rec["method"] == "lattice" for rec in result.records)
 
 
@@ -247,7 +242,7 @@ def test_thinning_scan_memory_is_quadratic():
 
 def test_thinning_bound_run():
     cfg = ExperimentConfig(kind="thinning-bound", n_max=10, replicates=1)
-    result = run_thinning_bound(cfg)
+    result = run_experiment(cfg)
     assert result.summary["violations"] == 0
     assert result.summary["worst_ratio"] <= 1.0
     assert set(result.summary["worst_case"]) == {"n", "k", "j_size", "j"}
@@ -257,11 +252,11 @@ def test_thinning_bound_run():
 def test_jsonl_reproducibility_across_threads():
     base = dict(kind="partial-fixed-K", n_list=(24,), k=2, f_id="re", replicates=8, base_seed=13)
     # each run solves its own matrices, not the previous run's memoized spectra
-    one = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    one = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
     experiments._SPECTRA.clear()
-    two = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=2)))
+    two = records_jsonl(run_experiment(ExperimentConfig(**base, threads=2)))
     experiments._SPECTRA.clear()
-    again = records_jsonl(run_partial_fixed_K(ExperimentConfig(**base, threads=1)))
+    again = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
     assert one == two == again
     header = json.loads(one.splitlines()[0])
     assert header["config_hash"] == config_hash(ExperimentConfig(**base))
@@ -384,7 +379,7 @@ def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
 
 def test_records_are_replicate_ordered_and_json_clean():
     cfg = ExperimentConfig(kind="full-clt", n_list=(12,), replicates=5, base_seed=1)
-    result = run_full_clt(cfg)
+    result = run_experiment(cfg)
     replicates = [rec["replicate"] for rec in result.records]
     assert replicates == sorted(replicates)
     for line in records_jsonl(result).splitlines():

@@ -6,12 +6,8 @@ import pytest
 
 from thinspec.ensembles import AtomDistribution, ComplexMatrix, sample_matrix
 from thinspec.spectral import (
-    Annulus,
     ComplexSpectrum,
-    Disk,
-    Square,
     arg_in_2pi,
-    count_in_region,
     eigenvalues,
     spectral_radius,
     spiral_compare,
@@ -48,9 +44,27 @@ def test_companion_matrix_cube_roots():
         assert abs(g - e) < 1e-10
 
 
+def _assert_eigenpair_residual(a: np.ndarray, vals: np.ndarray, tol: float = 1e-6):
+    """Inverse iteration on the largest eigenvalue; residual <= tol * ||A||."""
+    lam = vals[np.argmax(np.abs(vals))]
+    n = a.shape[0]
+    scale = np.linalg.norm(a, ord="fro") / math.sqrt(n)
+    shifted = a - (lam + 1e-10 * (1 + abs(lam))) * np.eye(n)
+    v = np.ones(n, dtype=np.complex128) / math.sqrt(n)
+    for _ in range(3):
+        v = np.linalg.solve(shifted, v)
+        v = v / np.linalg.norm(v)
+    residual = np.linalg.norm(a @ v - lam * v)
+    norm = np.linalg.norm(a, ord=2) if n <= 64 else scale * math.sqrt(n)
+    assert residual <= tol * max(norm, 1.0), (
+        f"eigenpair residual {residual:.3e} exceeds {tol:.1e} * ||A||"
+    )
+
+
 def test_scaling_and_residual_check():
     m = sample_matrix(AtomDistribution("complex-gaussian"), 64, seed=5)
-    raw = eigenvalues(m, scale=False, check_residual=True)
+    raw = eigenvalues(m, scale=False)
+    _assert_eigenpair_residual(m.entries, raw.values)
     scaled = eigenvalues(m, scale=True)
     assert np.allclose(np.sort(np.abs(raw.values)) / 8.0, np.sort(np.abs(scaled.values)))
     assert scaled.scaled and not raw.scaled
@@ -61,7 +75,7 @@ def test_trace_identity():
         m = sample_matrix(AtomDistribution("real-gaussian"), 100, seed=seed)
         s = eigenvalues(m, scale=False)
         bound = 1e-8 * m.n * np.abs(m.entries).max()
-        assert abs(s.values.sum() - m.trace) <= bound
+        assert abs(s.values.sum() - np.trace(m.entries)) <= bound
 
 
 def test_arg_convention_positive_real_is_two_pi():
@@ -130,41 +144,6 @@ def test_spiral_sort_properties():
         assert spiral_compare(a, b, 100) <= 0
 
 
-def test_count_in_region_examples():
-    s = _spectrum([0.0, 1.0, 2.0])
-    assert count_in_region(s, Disk(center=0j, radius=1.5)) == 2
-    # half-open square excludes the right/top edges
-    sq = Square(a=0.0, b=1.0, c=0.0, d=1.0)
-    assert count_in_region(_spectrum([1.0 + 0j]), sq) == 0
-    assert count_in_region(_spectrum([0.0 + 0j]), sq) == 1
-    assert count_in_region(_spectrum([0.5 + 0.5j]), sq) == 1
-    # disks and annuli are closed: the point 1 sits on the unit circle
-    assert count_in_region(_spectrum([1.0 + 0j]), Disk(center=0j, radius=1.0)) == 1
-    assert count_in_region(_spectrum([1.0 + 0j]), Annulus(r_in=0.5, r_out=1.0)) == 1
-    assert count_in_region(_spectrum([0.25j]), Annulus(r_in=0.5, r_out=1.0)) == 0
-
-
-def test_region_validation():
-    with pytest.raises(ValueError):
-        Square(a=0, b=1, c=0, d=2)
-    with pytest.raises(ValueError):
-        Square(a=1, b=1, c=1, d=1)
-    with pytest.raises(ValueError):
-        Annulus(r_in=2.0, r_out=1.0)
-    with pytest.raises(ValueError):
-        Disk(center=0j, radius=-1.0)
-
-
-def test_counting_is_permutation_invariant():
-    rng = np.random.default_rng(11)
-    values = rng.standard_normal(50) + 1j * rng.standard_normal(50)
-    region = Disk(center=0.1 + 0.1j, radius=0.8)
-    base = count_in_region(_spectrum(values), region)
-    for _ in range(5):
-        perm = rng.permutation(50)
-        assert count_in_region(_spectrum(values[perm]), region) == base
-
-
 def test_spectral_radius():
     assert spectral_radius(_spectrum([0.0])) == 0.0
     assert spectral_radius(_spectrum([1.0, -2.0])) == 2.0
@@ -177,7 +156,7 @@ def test_ginibre_containment_frequency():
     for seed in range(100):
         m = sample_matrix(AtomDistribution("complex-gaussian"), 256, seed=seed)
         s = eigenvalues(m, scale=True)
-        inside += count_in_region(s, Disk(center=0j, radius=1.1)) == 256
+        inside += spectral_radius(s) <= 1.1
     assert inside >= 99
     # larger matrices concentrate harder
     for seed in (0, 1):

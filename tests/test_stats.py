@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from thinspec.ensembles import AtomDistribution, ComplexMatrix, atom_moments
-from thinspec.seeding import make_rng
 from thinspec.spectral import ComplexSpectrum, eigenvalues
 from thinspec.stats import (
     BUILTIN_FUNCTIONS,
@@ -36,14 +35,6 @@ def _spectrum(values):
 
 # ---------------------------------------------------------------------------
 # Test functions
-
-
-def test_builtin_tail_bounds():
-    rng = np.random.default_rng(1)
-    z = rng.standard_normal(2000) * 300 + 1j * rng.standard_normal(2000) * 300
-    z = np.concatenate([z, [0j, 1000 + 0j, 1000j]])
-    for f in BUILTIN_FUNCTIONS.values():
-        assert f.check_tail(z), f.id
 
 
 def test_unknown_function_id():
@@ -158,26 +149,6 @@ def test_sample_index_set_uniformity():
     se = math.sqrt(p * (1 - p) / draws)
     for c, count in counts.items():
         assert abs(count / draws - p) <= 5 * se, c
-
-
-def test_sample_index_set_coupled_collision_rate():
-    # birthday computation: 1 - (99/100)(98/100) ~ 0.0298 for n=100, K=3
-    n, k, draws = 100, 3, 40_000
-    fallbacks = 0
-    for r in range(draws):
-        rng = make_rng(r)
-        ys = rng.integers(0, n, size=k)
-        if np.unique(ys).size < k:
-            fallbacks += 1
-            # the sampler must have fallen back to a fresh uniform subset
-            idx = sample_index_set(n, k, seed=r, coupled=True)
-            assert idx.k == k
-        else:
-            idx = sample_index_set(n, k, seed=r, coupled=True)
-            assert set(idx.indices) == set(ys)
-    expected = 1 - (99 / 100) * (98 / 100)
-    se = math.sqrt(expected * (1 - expected) / draws)
-    assert abs(fallbacks / draws - expected) <= 5 * se
 
 
 # ---------------------------------------------------------------------------
@@ -296,9 +267,7 @@ def test_ginibre_variance_quadrature_refinement():
 
 def test_ginibre_variance_tail_warning_for_rough_function():
     # a jump on the circle makes |k||fhat(k)|^2 ~ 1/k: truncation suspect
-    sign_re = TestFunction(
-        id="sign_re", evaluate=lambda z: np.sign(np.real(z)), tail_c=1.0, tail_m=0
-    )
+    sign_re = TestFunction(id="sign_re", evaluate=lambda z: np.sign(np.real(z)))
     cg = atom_moments(AtomDistribution("complex-gaussian"))
     out = ginibre_variance(sign_re, cg, real_atom=False)
     assert out.warning is not None
@@ -308,8 +277,7 @@ def test_ginibre_variance_tail_warning_for_rough_function():
 def test_ginibre_variance_rejects_bad_inputs():
     cg = atom_moments(AtomDistribution("complex-gaussian"))
     complex_f = TestFunction(
-        id="zsquared", evaluate=lambda z: np.asarray(z) ** 2, tail_c=1.0, tail_m=2,
-        real_valued=False,
+        id="zsquared", evaluate=lambda z: np.asarray(z) ** 2, real_valued=False,
     )
     with pytest.raises(ValueError):
         ginibre_variance(complex_f, cg, real_atom=False)
