@@ -117,15 +117,20 @@ def _atom_from_json(a) -> complex:
 
 @dataclass(frozen=True)
 class ComplexMatrix:
-    """Square complex matrix with optional sampling provenance."""
+    """Square matrix with optional sampling provenance.
+
+    Real input is stored as float64, so a real ensemble is solved in real
+    arithmetic; any complex input is stored as complex128.
+    """
 
     n: int
-    entries: np.ndarray  # shape (n, n), complex128, row-major semantics
+    entries: np.ndarray  # shape (n, n), float64 if real else complex128, row-major
     seed: int | None = None
     dist_kind: str | None = None
 
     def __post_init__(self):
-        entries = np.ascontiguousarray(self.entries, dtype=np.complex128)
+        dtype = np.complex128 if np.iscomplexobj(self.entries) else np.float64
+        entries = np.ascontiguousarray(self.entries, dtype=dtype)
         if entries.shape != (self.n, self.n):
             raise ValueError(f"entries must be {self.n}x{self.n}, got {entries.shape}")
         if not np.all(np.isfinite(entries.view(np.float64))):
@@ -150,16 +155,18 @@ def atom_moments(dist: AtomDistribution) -> MomentSummary:
 
 
 def sample_atoms(dist: AtomDistribution, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw `count` iid atoms as a flat complex array."""
+    """Draw `count` iid atoms as a flat array: float64 when `dist.is_real`,
+    complex128 otherwise."""
     if dist.kind == "complex-gaussian":
         parts = rng.standard_normal((2, count))
         return (parts[0] + 1j * parts[1]) * np.sqrt(0.5)
     if dist.kind == "real-gaussian":
-        return rng.standard_normal(count).astype(np.complex128)
+        return rng.standard_normal(count)
     if dist.kind == "rademacher":
-        return (2.0 * rng.integers(0, 2, size=count) - 1.0).astype(np.complex128)
+        return 2.0 * rng.integers(0, 2, size=count) - 1.0
     idx = rng.choice(len(dist.atoms), size=count, p=np.asarray(dist.probs))
-    return np.asarray(dist.atoms, dtype=np.complex128)[idx]
+    atoms = np.asarray(dist.atoms, dtype=np.complex128)
+    return (atoms.real if dist.is_real else atoms)[idx]
 
 
 def sample_matrix(dist: AtomDistribution, n: int, seed: int) -> ComplexMatrix:

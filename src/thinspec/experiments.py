@@ -53,6 +53,11 @@ log = logging.getLogger(__name__)
 # At most this fraction of replicates may be skipped due to solver failures.
 MAX_SKIP_FRACTION = 0.01
 
+# Caps that keep memory bounded for any accepted config: per-rep W1 values
+# held by a wasserstein replicate, and local-law grid cells per axis.
+MAX_W1_REPS = 1 << 16
+MAX_CELLS_PER_AXIS = 1000
+
 # By field annotation: the JSON type a config-file value must have, in words
 # and as a test (exact, so a bool is no int), and its conversion to the field.
 _JSON_TYPES = {
@@ -98,6 +103,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        n_top = max(self.n_list, default=1)
         for invalid, message in (
             (self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"),
             (not self.n_list or min(self.n_list) < 1,
@@ -105,9 +111,13 @@ class ExperimentConfig:
             (self.replicates < 1, "replicates must be >= 1"),
             (self.base_seed < 0, "base_seed must be nonnegative"),
             (self.threads < 1, "threads must be >= 1"),
-            (self.w1_reps < 1, "w1_reps must be >= 1"),
+            (not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"),
             (not self.k_divisor > 0, "k_divisor must be > 0"),
-            (not self.grid_bound > 1, "grid_bound must exceed 1"),
+            (not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"),
+            (self.kind == "local-law-cells"
+             and 2 * self.grid_bound * n_top ** 0.25 > MAX_CELLS_PER_AXIS,
+             f"grid_bound {self.grid_bound} gives more than {MAX_CELLS_PER_AXIS} cells "
+             f"per axis at n={n_top}"),
             (self.method not in ("sample", "lattice"),
              f"unknown wasserstein method {self.method!r}"),
             (self.f_id not in BUILTIN_FUNCTIONS,
@@ -329,7 +339,7 @@ def _measure_w1(config, n, spectra, seeds):
 def _measure_cells(config, n, spectra, seeds):
     """Per-cell count discrepancy of X's spectrum against an independent Ginibre one."""
     spec_x, spec_g = spectra
-    grid = default_grid(n, config.grid_bound)
+    grid = default_grid(n, config.grid_bound, odd=True)  # real eigenvalues inside a row
     live = grid.cell_count  # real cells; the final entry is overflow
     counts_x = cell_counts(spec_x.values, grid)[:live]
     counts_g = cell_counts(spec_g.values, grid)[:live]

@@ -51,8 +51,9 @@ def arg_in_2pi(z: np.ndarray) -> np.ndarray:
 def eigenvalues(m: ComplexMatrix, scale: bool) -> ComplexSpectrum:
     """Dense spectrum of `m`, ordered by (modulus, argument).
 
-    Uses a backward-stable Schur-based general eigensolver.  With `scale`
-    the eigenvalues of m / sqrt(n) are returned.
+    Uses a backward-stable Schur-based general eigensolver, in real
+    arithmetic when `m` has float64 entries.  With `scale` the eigenvalues
+    of m / sqrt(n) are returned; they are complex128 either way.
     """
     try:
         vals = np.linalg.eigvals(m.entries)

@@ -159,12 +159,20 @@ def cell_counts(points, grid: GridSpec) -> np.ndarray:
     return np.bincount(cells, minlength=grid.cell_count + 1)
 
 
-def default_grid(n: int, bound: float = 1.25) -> GridSpec:
-    """Grid whose cell side is at most n^(-1/4) in scaled coordinates."""
+def default_grid(n: int, bound: float = 1.25, odd: bool = False) -> GridSpec:
+    """Grid whose cell side is at most n^(-1/4) in scaled coordinates.
+
+    With `odd` the count per axis is rounded up to an odd number, so the
+    real axis runs through the middle of a row of cells, not along a cell
+    edge where half-open cells would put every real eigenvalue in the row
+    above it.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     target = 2.0 * bound * n ** 0.25
     m = math.ceil(target - 1e-9)  # guard against float fuzz just above an integer
+    if odd:
+        m |= 1
     return GridSpec(bound=bound, cells_per_axis=m, cell_side=2.0 * bound / m)
 
 

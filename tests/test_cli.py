@@ -1,10 +1,13 @@
 import csv
+import io
 import json
 
+import numpy as np
 import pytest
 
 from thinspec import experiments
 from thinspec.cli import build_parser, main
+from thinspec.ensembles import AtomDistribution, sample_matrix
 from thinspec.spectral import EigensolverError, spiral_compare
 
 
@@ -43,6 +46,21 @@ def test_sample_determinism(tmp_path):
         assert main(["sample", "--ensemble", "complex-gaussian", "--n", "8",
                      "--seed", "5", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("ensemble", ["rademacher", "real-gaussian"])
+def test_sample_csv_of_a_real_ensemble_is_the_complex_one(tmp_path, ensemble):
+    out = tmp_path / "sample.csv"
+    assert main(["sample", "--ensemble", ensemble, "--n", "6", "--seed", "5",
+                 "--out", str(out)]) == 0
+    entries = sample_matrix(AtomDistribution(ensemble), 6, seed=5).entries.astype(complex)
+    expected = io.StringIO(newline="")
+    writer = csv.writer(expected)
+    writer.writerow(("i", "j", "re", "im"))
+    writer.writerows((i, j, repr(float(z.real)), repr(float(z.imag)))
+                    for (i, j), z in np.ndenumerate(entries))
+    assert out.read_bytes() == expected.getvalue().encode()
+    assert {row[3] for row in _read_csv(out)[1:]} == {"0.0"}
 
 
 def test_wasserstein_csv(tmp_path):
@@ -285,7 +303,11 @@ def test_experiment_flag_dests_are_config_keys():
     {"kind": "partial-growing-K", "k_divisor": -1},
     {"kind": "partial-growing-K", "k": 0},
     {"kind": "local-law-cells", "grid_bound": 1},
+    {"kind": "local-law-cells", "grid_bound": float("inf")},
+    {"kind": "local-law-cells", "grid_bound": 1e308},
+    {"kind": "local-law-cells", "n_list": [1024], "grid_bound": 1e4},
     {"kind": "wasserstein-decay", "w1_reps": 0},
+    {"kind": "wasserstein-decay", "w1_reps": 100000000000},
     {"kind": "full-clt", "f": "nope"},
     {"kind": "wasserstein-decay", "n_list": [4097]},
     {"kind": "wasserstein-decay", "method": "lattice", "n_list": [4]},
@@ -295,7 +317,9 @@ def test_experiment_flag_dests_are_config_keys():
                                       "probs": [float("nan")] * 2}},
     {"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [float("nan"), -1],
                                       "probs": [0.5, 0.5]}},
-], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "grid_bound_1", "w1_reps_0",
+], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "grid_bound_1",
+        "grid_bound_infinity", "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0",
+        "w1_reps_1e11",
         "unknown_f", "wasserstein_above_cap", "lattice_below_min_n", "complex_atom_second_moment",
         "nan_probs", "nan_atom"])
 def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):

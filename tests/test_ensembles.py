@@ -83,6 +83,10 @@ def test_matrix_validation():
     with pytest.raises(ValueError):
         ComplexMatrix(n=1, entries=np.array([[np.inf]], complex))
     with pytest.raises(ValueError):
+        ComplexMatrix(n=1, entries=np.array([[np.nan]]))
+    with pytest.raises(ValueError):
+        ComplexMatrix(n=2, entries=np.zeros((2, 3)))
+    with pytest.raises(ValueError):
         sample_matrix(AtomDistribution("rademacher"), 0, seed=1)
 
 

@@ -5,10 +5,11 @@ import math
 import tracemalloc
 import warnings
 
+import numpy as np
 import pytest
 
 from thinspec import experiments
-from thinspec.ensembles import AtomDistribution
+from thinspec.ensembles import AtomDistribution, ComplexMatrix, sample_matrix
 from thinspec.spectral import EigensolverError, eigenvalues
 from thinspec.experiments import (
     KINDS,
@@ -66,13 +67,19 @@ def test_config_validation():
     dict(kind="partial-growing-K", k=2, n_list=(1,), allow_large_k=True),
     dict(kind="local-law-cells", grid_bound=1.0),
     dict(kind="local-law-cells", grid_bound=0.5),
+    dict(kind="local-law-cells", grid_bound=math.inf),
+    dict(kind="local-law-cells", grid_bound=math.nan),
+    dict(kind="local-law-cells", grid_bound=1e308),
+    dict(kind="local-law-cells", grid_bound=1e4, n_list=(1024,)),
     dict(kind="wasserstein-decay", w1_reps=0),
+    dict(kind="wasserstein-decay", w1_reps=experiments.MAX_W1_REPS + 1),
     dict(kind="full-clt", f_id="nope"),
     dict(kind="partial-fixed-K", f_id="nope"),
     dict(kind="wasserstein-decay", n_list=(64, 4097)),
 ], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "growing_k_above_n",
-        "grid_bound_1", "grid_bound_below_1", "w1_reps_0", "unknown_f_full",
-        "unknown_f_partial", "wasserstein_above_exact_cap"])
+        "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
+        "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0", "w1_reps_above_cap",
+        "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
@@ -178,6 +185,22 @@ def test_local_law_same_seed_has_zero_discrepancy():
     assert not isinstance(solved, str)
     assert record["max_cell_discrepancy"] == 0
     assert record["x_in_grid"] == record["g_in_grid"]
+
+
+@pytest.mark.parametrize("n", [32, 64, 256])
+def test_local_law_cells_do_not_depend_on_the_solve_path(n):
+    # default_grid has an even count per axis at these sizes, so the real axis
+    # would be a cell edge; local-law-cells rounds the count up to odd, and the
+    # exactly-real eigenvalues of the real solve share cells with the near-real
+    # ones of a complex solve of the same matrix.
+    x = sample_matrix(AtomDistribution("rademacher"), n, seed=n)
+    real = eigenvalues(x, scale=True)
+    cast = eigenvalues(ComplexMatrix(n=n, entries=x.entries.astype(complex)), scale=True)
+    assert np.any(real.values.imag == 0)
+    cfg = ExperimentConfig(kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
+                           n_list=(n,))
+    record, _ = _replicate((cfg, n, {}, [real, cast]))
+    assert record["max_cell_discrepancy"] == 0
 
 
 def test_local_law_small_run():

@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from thinspec.ensembles import AtomDistribution, ComplexMatrix, sample_matrix
+from thinspec import spectral
+from thinspec.ensembles import AtomDistribution, ComplexMatrix, sample_atoms, sample_matrix
+from thinspec.seeding import make_rng
 from thinspec.spectral import (
     ComplexSpectrum,
     arg_in_2pi,
@@ -76,6 +78,79 @@ def test_trace_identity():
         s = eigenvalues(m, scale=False)
         bound = 1e-8 * m.n * np.abs(m.entries).max()
         assert abs(s.values.sum() - np.trace(m.entries)) <= bound
+
+
+REAL_CUSTOM = AtomDistribution("custom-discrete", atoms=(2.0, -0.5), probs=(0.2, 0.8))
+COMPLEX_CUSTOM = AtomDistribution("custom-discrete", atoms=(1j, -1j, 1.0, -1.0), probs=(0.25,) * 4)
+
+
+@pytest.mark.parametrize("dist, dtype", [
+    (AtomDistribution("rademacher"), np.float64),
+    (AtomDistribution("real-gaussian"), np.float64),
+    (REAL_CUSTOM, np.float64),
+    (AtomDistribution("complex-gaussian"), np.complex128),
+    (COMPLEX_CUSTOM, np.complex128),
+], ids=["rademacher", "real-gaussian", "real-custom", "complex-gaussian", "complex-custom"])
+def test_solver_input_dtype_follows_the_ensemble(monkeypatch, dist, dtype):
+    atoms = sample_atoms(dist, 64, make_rng(4))
+    assert atoms.dtype == dtype
+    m = sample_matrix(dist, 8, seed=4)
+    assert np.array_equal(m.entries.ravel(), atoms)  # same stream, row-major
+    solve, seen = np.linalg.eigvals, []
+
+    def spy(a):
+        seen.append(a.dtype)
+        return solve(a)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", spy)
+    s = eigenvalues(m, scale=True)
+    assert seen == [np.dtype(dtype)]
+    assert s.values.dtype == np.complex128
+    assert ComplexMatrix(n=8, entries=m.entries.astype(complex)).entries.dtype == np.complex128
+    assert ComplexMatrix(n=1, entries=[[1]]).entries.dtype == np.float64
+
+
+def _by_position(values):
+    """Values sorted by (real part to 6 places, imaginary part): an order that
+    rounding-level perturbations of a spectrum do not change."""
+    return values[np.lexsort((values.imag, np.round(values.real, 6)))]
+
+
+@pytest.mark.parametrize("dist", [AtomDistribution("rademacher"),
+                                  AtomDistribution("real-gaussian"), REAL_CUSTOM],
+                         ids=["rademacher", "real-gaussian", "real-custom"])
+@pytest.mark.parametrize("n", [3, 16, 64])
+def test_real_path_matches_the_complex_solve(dist, n):
+    m = sample_matrix(dist, n, seed=n)
+    assert m.entries.dtype == np.float64
+    real = eigenvalues(m, scale=True).values
+    cast = eigenvalues(ComplexMatrix(n=n, entries=m.entries.astype(complex)), scale=True).values
+    assert real.dtype == cast.dtype == np.complex128
+    assert np.max(np.abs(_by_position(real) - _by_position(cast))) <= 1e-10
+    # Eigenvalues the complex solve puts within rounding of the real axis are
+    # exactly real here; the others come in exact conjugate pairs.
+    assert np.count_nonzero(real.imag == 0) == np.count_nonzero(np.abs(cast.imag) < 1e-12) > 0
+    upper, lower = real[real.imag > 0], real[real.imag < 0]
+    assert np.array_equal(np.sort_complex(upper), np.sort_complex(np.conj(lower)))
+    _assert_eigenpair_residual(m.entries, eigenvalues(m, scale=False).values)
+
+
+@pytest.mark.parametrize("entries, expected", [
+    ([[3.0]], [3.0]),
+    ([[-2.0]], [-2.0]),
+    ([[2.0, 1.0], [1.0, 2.0]], [1.0, 3.0]),
+    ([[1.0, 0.0], [0.0, -1.0]], [1.0, -1.0]),
+], ids=["n1", "n1_negative", "n2_symmetric", "n2_diagonal"])
+def test_all_real_spectrum_is_complex128(entries, expected):
+    m = ComplexMatrix(n=len(entries), entries=np.array(entries))
+    assert m.entries.dtype == np.float64
+    for scale in (False, True):
+        s = eigenvalues(m, scale=scale)
+        assert s.values.dtype == np.complex128
+        want = np.sort(expected) / (math.sqrt(m.n) if scale else 1.0)
+        assert np.allclose(np.sort(s.values.real), want, atol=1e-12)
+        assert np.all(s.values.imag == 0.0)
+        assert spiral_sort(s).values.dtype == np.complex128
 
 
 def test_arg_convention_positive_real_is_two_pi():

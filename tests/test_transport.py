@@ -102,6 +102,16 @@ def test_default_grid_examples():
         assert g.cell_side <= n**-0.25 * (1 + 1e-9)
 
 
+def test_odd_grid_keeps_the_real_axis_inside_a_row():
+    x = np.linspace(-0.9, 0.9, 7)
+    for n in (32, 64, 256, 1024):
+        even, odd = default_grid(n, 1.25), default_grid(n, 1.25, odd=True)
+        assert odd.cells_per_axis == even.cells_per_axis | 1
+        assert odd.cell_side <= n**-0.25 * (1 + 1e-9)
+        cells = [odd.cell_indices(x + 1j * t) for t in (0.0, 1e-15, -1e-15)]
+        assert all(np.array_equal(cells[0], c) for c in cells)
+
+
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
         GridSpec(bound=1.0, cells_per_axis=4, cell_side=0.5)
