@@ -46,7 +46,7 @@ def _int_list(text: str) -> list:
 _FLAGS = {
     "--config": dict(help="JSON config file; flags override its fields"),
     "--seed": dict(dest="base_seed", metavar="SEED", type=int, help="base seed (default 1)"),
-    "--threads": dict(type=int, help="worker processes (default 1)"),
+    "--threads": dict(type=int, help="worker processes; 0 is one per usable core (default 0)"),
     "--out": dict(help="output path"),
     "--ensemble": dict(choices=BUILTIN_KINDS, help="atom distribution (default complex-gaussian)"),
     "--n": dict(type=int, required=True),

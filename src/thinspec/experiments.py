@@ -1,8 +1,12 @@
 """Seeded, persisted experiment pipelines and their result emission.
 
 Each pipeline draws all randomness from seeds derived per replicate and per
-stream (matrix draws and index-set draws are separate streams), so re-runs
-are byte-identical regardless of how many workers execute the replicates.
+stream (matrix draws and index-set draws are separate streams), and every
+solve runs on one BLAS thread, so re-runs are byte-identical regardless of
+how many workers execute the replicates or how many threads BLAS may use.
+`threads` workers solve a size's replicates side by side, one process each;
+0 (the default) means one per usable core.  A size with too little solve
+work for a process pool to pay off runs serially.
 
 Every kind runs the same path: `_replicate` samples each matrix, solves it
 scaled and hands the spectra to the kind's `measure`, and the runner
@@ -22,6 +26,9 @@ import hashlib
 import json
 import logging
 import math
+import multiprocessing
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -33,7 +40,7 @@ from scipy.special import gammaln
 from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
 from .lattice import MIN_N
 from .seeding import derive_seed64, make_rng
-from .spectral import EigensolverError, eigenvalues, spectral_radius
+from .spectral import EigensolverError, eigenvalues, pin_blas_to_one_thread, spectral_radius
 from .stats import (
     BUILTIN_FUNCTIONS,
     LimitSpec,
@@ -95,7 +102,7 @@ class ExperimentConfig:
     f_id: str = "re"
     replicates: int = 100
     base_seed: int = 1
-    threads: int = 1
+    threads: int = 0  # worker processes; 0: one per usable core
     method: str = "sample"  # wasserstein only: "sample" or "lattice"
     w1_reps: int = 1
     grid_bound: float = 1.25
@@ -110,9 +117,11 @@ class ExperimentConfig:
              "n_list must be a nonempty list of positive integers"),
             (self.replicates < 1, "replicates must be >= 1"),
             (self.base_seed < 0, "base_seed must be nonnegative"),
-            (self.threads < 1, "threads must be >= 1"),
+            (self.threads < 0, "threads must be >= 0 (0: one per usable core)"),
             (not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"),
-            (not self.k_divisor > 0, "k_divisor must be > 0"),
+            (not 0 < self.k_divisor < math.inf or math.isinf(n_top ** 0.25 / self.k_divisor),
+             f"k_divisor must be positive and finite, with n^(1/4)/k_divisor finite "
+             f"at n={n_top}"),
             (not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"),
             (self.kind == "local-law-cells"
              and 2 * self.grid_bound * n_top ** 0.25 > MAX_CELLS_PER_AXIS,
@@ -226,6 +235,26 @@ def _read_only(spectra: list) -> list:
     return spectra
 
 
+# Least solve work, in n^3 units summed over a size's unsolved matrices, that
+# a process pool is started for.  On 2 cores a pool adds about 0.1 s to a run
+# (start-up and the workers' first solves).  A real solve costs about 2.8 ns
+# per unit and a complex one 2.5x that, so a run of real solves breaks even
+# near 7e7 units; 1.3e8 leaves a margin for both.  Those figures are for
+# forked workers; a spawned one imports numpy and scipy again (about 1.4 s),
+# so where the pool cannot fork the cutoff is too low for a pool to pay off.
+_POOL_MIN_WORK = 1 << 27
+
+# Workers are forked on Linux, as _POOL_MIN_WORK was measured (the default
+# there before Python 3.14); elsewhere they start the platform's default way.
+_POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
+
+
+def _usable_cores() -> int:
+    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _replicate(args):
     """One replicate: (record, spectra), or (None, reason) when a solve fails.
 
@@ -253,6 +282,9 @@ def _replicate_records(config: ExperimentConfig, n: int) -> list:
 
     Replicates held in `_SPECTRA` are measured without a solve; the others'
     outcomes are stored there while the memo stays within _SPECTRA_BUDGET.
+    The others are solved by up to `threads` worker processes (0: one per
+    usable core), none more than there are to solve, unless their work is
+    below _POOL_MIN_WORK.
     Raises SkipBudgetError when more than MAX_SKIP_FRACTION of them failed.
     """
     run = (config.kind, config.base_seed,
@@ -267,10 +299,14 @@ def _replicate_records(config: ExperimentConfig, n: int) -> list:
         }, _SPECTRA.get((run, n, r)))
         for r in range(config.replicates)
     ]
-    if config.threads <= 1 or sum(solved is None for *_, solved in args) <= 1:
+    unsolved = sum(solved is None for *_, solved in args)
+    pooled = unsolved > 1 and unsolved * len(KINDS[config.kind].solves) * n ** 3 >= _POOL_MIN_WORK
+    workers = min(config.threads or _usable_cores(), unsolved) if pooled else 1
+    if workers < 2:
         outcomes = [_replicate(a) for a in args]
     else:
-        with ProcessPoolExecutor(max_workers=config.threads) as pool:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
+                                 initializer=pin_blas_to_one_thread) as pool:
             outcomes = list(pool.map(_replicate, args))
     size = {(run, n, r): solved for r, (_, solved) in enumerate(outcomes)}
     spectra = [s for v in {**_SPECTRA, **size}.values() if not isinstance(v, str) for s in v]

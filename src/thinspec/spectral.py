@@ -2,16 +2,28 @@
 
 Angles throughout use the convention arg z in (0, 2*pi], so a positive real
 number has argument 2*pi.
+
+Every solve runs on one BLAS thread, so its eigenvalue bytes do not depend
+on the machine's core count or on OPENBLAS_NUM_THREADS; parallelism comes
+from solving replicates in separate processes instead.  `one_blas_thread`
+does the same for other BLAS work, such as the disk quadratures in `stats`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import logging
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .ensembles import ComplexMatrix
+
+log = logging.getLogger(__name__)
 
 # Moduli this close to an exact multiple of 1/sqrt(n) are snapped before the
 # floor key is taken, keeping the comparator deterministic across platforms.
@@ -48,15 +60,64 @@ def arg_in_2pi(z: np.ndarray) -> np.ndarray:
     return np.where(a <= 0.0, a + 2.0 * np.pi, a)
 
 
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled scipy-openblas, or None.
+
+    Any other BLAS is logged once and left at its own thread count.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for path in sorted(libs.glob("libscipy_openblas64_*.so")):
+        lib = ctypes.CDLL(str(path))  # the copy numpy has loaded already
+        get = getattr(lib, "scipy_openblas_get_num_threads64_", None)
+        set_ = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+        if get is not None and set_ is not None:
+            get.restype, get.argtypes = ctypes.c_int, []
+            set_.restype, set_.argtypes = None, [ctypes.c_int]
+            return get, set_
+    log.warning("numpy's BLAS is not the bundled scipy-openblas; BLAS work runs at "
+                "its own thread count, so its bytes may depend on that count")
+    return None
+
+
+def pin_blas_to_one_thread() -> None:
+    """Keep this process's BLAS on one thread from now on.
+
+    Pool workers run it first: restoring a second thread after every solve
+    would leave a BLAS thread in each worker competing for the cores.
+    """
+    threads = _openblas_threads()
+    if threads is not None:
+        threads[1](1)
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block on one BLAS thread, then restore the caller's count."""
+    threads = _openblas_threads()
+    if threads is None:
+        yield
+        return
+    get, set_ = threads
+    previous = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(previous)
+
+
 def eigenvalues(m: ComplexMatrix, scale: bool) -> ComplexSpectrum:
     """Dense spectrum of `m`, ordered by (modulus, argument).
 
-    Uses a backward-stable Schur-based general eigensolver, in real
-    arithmetic when `m` has float64 entries.  With `scale` the eigenvalues
-    of m / sqrt(n) are returned; they are complex128 either way.
+    Uses a backward-stable Schur-based general eigensolver on one BLAS
+    thread, in real arithmetic when `m` has float64 entries.  With `scale`
+    the eigenvalues of m / sqrt(n) are returned; they are complex128 either
+    way.
     """
     try:
-        vals = np.linalg.eigvals(m.entries)
+        with one_blas_thread():
+            vals = np.linalg.eigvals(m.entries)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigensolver failed for n={m.n}, dist={m.dist_kind}, seed={m.seed}: {exc}"

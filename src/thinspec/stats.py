@@ -16,7 +16,7 @@ import numpy as np
 from scipy.stats import ks_2samp
 
 from .seeding import make_rng
-from .spectral import ComplexSpectrum
+from .spectral import ComplexSpectrum, one_blas_thread
 from .transport import disk_points
 
 
@@ -295,6 +295,7 @@ def _moments_on_grid(f: TestFunction, radial_nodes: int, angular_nodes: int):
     )
 
 
+@one_blas_thread()  # the dot products' bytes follow the BLAS thread count
 def disk_moments(f: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD) -> DiskMoments:
     """E f(U), Var(Re f), Var(Im f), and Cov for uniform U on the unit disk.
 
@@ -350,6 +351,7 @@ def _circle_coefficients(evaluate, circle_nodes: int, k_max: int):
     return k, coeffs[k % circle_nodes]
 
 
+@one_blas_thread()
 def ginibre_variance(f: TestFunction, moments, real_atom: bool,
                      quad: QuadratureSpec = DEFAULT_QUAD) -> VarianceBreakdown:
     """Limiting variance of the centered full linear statistic for real f.

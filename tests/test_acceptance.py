@@ -267,7 +267,7 @@ def test_criterion_11_local_law_cells():
     )
 
 
-def test_criterion_12_byte_identical_replay():
+def test_criterion_12_byte_identical_replay(pools):
     # identical config replays byte-identically, independent of thread count
     t0 = time.time()
     base = dict(
@@ -281,7 +281,7 @@ def test_criterion_12_byte_identical_replay():
     second = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
     experiments._SPECTRA.clear()
     threaded = records_jsonl(run_experiment(ExperimentConfig(**base, threads=3)))
-    ok = first == second == threaded
+    ok = first == second == threaded and pools == [3]
     _report(
         12,
         "byte-identical JSONL replay across runs and thread counts",

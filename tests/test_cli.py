@@ -1,11 +1,16 @@
 import csv
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from thinspec import experiments
+from thinspec import experiments, spectral
 from thinspec.cli import build_parser, main
 from thinspec.ensembles import AtomDistribution, sample_matrix
 from thinspec.spectral import EigensolverError, spiral_compare
@@ -301,6 +306,8 @@ def test_experiment_flag_dests_are_config_keys():
 @pytest.mark.parametrize("config", [
     {"kind": "partial-growing-K", "k_divisor": 0},
     {"kind": "partial-growing-K", "k_divisor": -1},
+    {"kind": "partial-growing-K", "k_divisor": 1e-320},
+    {"kind": "partial-growing-K", "k_divisor": float("inf")},
     {"kind": "partial-growing-K", "k": 0},
     {"kind": "local-law-cells", "grid_bound": 1},
     {"kind": "local-law-cells", "grid_bound": float("inf")},
@@ -317,11 +324,13 @@ def test_experiment_flag_dests_are_config_keys():
                                       "probs": [float("nan")] * 2}},
     {"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [float("nan"), -1],
                                       "probs": [0.5, 0.5]}},
-], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "grid_bound_1",
+    {"kind": "full-clt", "threads": -1},
+], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_infinity",
+        "growing_k_0", "grid_bound_1",
         "grid_bound_infinity", "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0",
         "w1_reps_1e11",
         "unknown_f", "wasserstein_above_cap", "lattice_below_min_n", "complex_atom_second_moment",
-        "nan_probs", "nan_atom"])
+        "nan_probs", "nan_atom", "threads_negative"])
 def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):
     def no_solve(matrix, scale):
         raise AssertionError("eigenvalues called for an invalid config")
@@ -333,3 +342,41 @@ def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, 
     cfg.write_text(json.dumps({"n_list": [16], "replicates": 2, **config}))
     assert main([*command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.skipif(spectral._openblas_threads() is None,
+                    reason="numpy's BLAS is not scipy-openblas")
+def test_variance_output_does_not_depend_on_blas_threads(capsys):
+    get, set_ = spectral._openblas_threads()
+    previous, outputs = get(), []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            assert main(["variance", "--f", "re", "--atom", "rademacher"]) == 0
+            outputs.append(capsys.readouterr().out)
+    finally:
+        set_(previous)
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.slow
+def test_records_depend_on_neither_blas_threads_nor_workers(tmp_path):
+    # enough solve work for threads 0 and 2 to start a pool
+    assert 10 * 256 ** 3 >= experiments._POOL_MIN_WORK
+    argv = ["partial-stats", "--n-list", "256", "--k", "1", "--f", "re", "--reps", "10",
+            "--seed", "5"]
+    env = {key: value for key, value in os.environ.items()
+           if key not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parents[1] / "src")
+    hashes = {}
+    for blas in (None, "1", "2"):
+        for threads in (0, 1, 2):
+            out = tmp_path / f"{blas}-{threads}.jsonl"
+            subprocess.run(
+                [sys.executable, "-c", "import sys; from thinspec.cli import main; sys.exit(main())",
+                 *argv, "--threads", str(threads), "--out", str(out)],
+                env={**env, "OPENBLAS_NUM_THREADS": blas} if blas else env,
+                check=True, timeout=300,
+            )
+            hashes[blas, threads] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert len(set(hashes.values())) == 1, hashes

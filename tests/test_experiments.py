@@ -2,6 +2,7 @@ import dataclasses
 import json
 import logging
 import math
+import sys
 import tracemalloc
 import warnings
 
@@ -63,6 +64,9 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs", [
     dict(kind="partial-growing-K", k_divisor=0),
     dict(kind="partial-growing-K", k_divisor=-1.0),  # used to give K=1 silently
+    dict(kind="partial-growing-K", k_divisor=1e-320),  # n^(1/4)/divisor overflows
+    dict(kind="partial-growing-K", k_divisor=math.inf),
+    dict(kind="partial-growing-K", k_divisor=math.nan),
     dict(kind="partial-growing-K", k=0),
     dict(kind="partial-growing-K", k=2, n_list=(1,), allow_large_k=True),
     dict(kind="local-law-cells", grid_bound=1.0),
@@ -76,10 +80,13 @@ def test_config_validation():
     dict(kind="full-clt", f_id="nope"),
     dict(kind="partial-fixed-K", f_id="nope"),
     dict(kind="wasserstein-decay", n_list=(64, 4097)),
-], ids=["k_divisor_0", "k_divisor_negative", "growing_k_0", "growing_k_above_n",
+    dict(kind="full-clt", threads=-1),
+], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
+        "k_divisor_nan", "growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
         "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0", "w1_reps_above_cap",
-        "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap"])
+        "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
+        "threads_negative"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
@@ -272,7 +279,7 @@ def test_thinning_bound_run():
     assert len(result.records) == 10
 
 
-def test_jsonl_reproducibility_across_threads():
+def test_jsonl_reproducibility_across_threads(pools):
     base = dict(kind="partial-fixed-K", n_list=(24,), k=2, f_id="re", replicates=8, base_seed=13)
     # each run solves its own matrices, not the previous run's memoized spectra
     one = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
@@ -280,6 +287,7 @@ def test_jsonl_reproducibility_across_threads():
     two = records_jsonl(run_experiment(ExperimentConfig(**base, threads=2)))
     experiments._SPECTRA.clear()
     again = records_jsonl(run_experiment(ExperimentConfig(**base, threads=1)))
+    assert pools == [2]
     assert one == two == again
     header = json.loads(one.splitlines()[0])
     assert header["config_hash"] == config_hash(ExperimentConfig(**base))
@@ -329,13 +337,14 @@ def test_sweep_solves_each_matrix_once_with_unchanged_records(monkeypatch, sweep
     assert len(calls) == len(set(calls)) == 5 * len(configs[0].n_list) * solves_per_replicate
 
 
-def test_pool_run_fills_the_memo_with_read_only_spectra(monkeypatch):
+def test_pool_run_fills_the_memo_with_read_only_spectra(monkeypatch, pools):
     base = dict(kind="partial-fixed-K", n_list=(16,), k=2, replicates=4, base_seed=5)
     threaded = ExperimentConfig(**base, f_id="re", threads=2)
-    swept = ExperimentConfig(**base, f_id="abs2")
+    swept = ExperimentConfig(**base, f_id="abs2", threads=1)
     expected = _outputs(swept)
     experiments._SPECTRA.clear()
     run_experiment(threaded)
+    assert pools == [2]
     calls = _count_solves(monkeypatch)
     assert _outputs(swept) == expected
     assert calls == []
@@ -398,6 +407,57 @@ def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
     calls = _count_solves(monkeypatch)
     assert _outputs(ExperimentConfig(**base, f_id="abs2")) == expected
     assert [n for _, n, _ in calls] == [32] * 4
+
+
+def test_small_run_at_the_default_threads_builds_no_pool(monkeypatch):
+    built = []
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", lambda **kw: built.append(kw))
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: pytest.fail("cores looked up"))
+    calls = _count_solves(monkeypatch)
+    config = ExperimentConfig(kind="local-law-cells", n_list=(16, 24), replicates=6)
+    assert config.threads == 0
+    run_experiment(config)
+    assert built == []
+    assert len(calls) == len(set(calls)) == 2 * 6 * 2
+
+
+@pytest.mark.parametrize("kind", ["partial-fixed-K", "local-law-cells"])
+def test_pool_starts_at_the_work_cutoff(monkeypatch, pools, kind):
+    # unsolved replicates x solves per replicate x n^3
+    work = 4 * len(KINDS[kind].solves) * 16 ** 3
+    config = ExperimentConfig(kind=kind, n_list=(16,), replicates=4, threads=2)
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", work + 1)
+    serial = _outputs(config)
+    assert pools == []
+    experiments._SPECTRA.clear()
+    monkeypatch.setattr(experiments, "_POOL_MIN_WORK", work)
+    assert _outputs(config) == serial
+    assert pools == [2]
+
+
+@pytest.mark.parametrize("cores, memoized, workers", [
+    (4, 0, 4), (8, 0, 5), (8, 2, 3), (2, 0, 2), (1, 0, None), (8, 4, None),
+], ids=["cores", "replicates", "unsolved", "two_cores", "one_core", "one_unsolved"])
+def test_threads_0_starts_a_worker_per_usable_core_and_unsolved_replicate(
+        monkeypatch, pools, cores, memoized, workers):
+    monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
+    base = dict(kind="full-clt", n_list=(8,), base_seed=2)
+    if memoized:  # replicates 0..memoized-1 are measured from the memo
+        run_experiment(ExperimentConfig(**base, replicates=memoized, threads=1))
+    run_experiment(ExperimentConfig(**base, replicates=5))
+    assert pools == ([workers] if workers else [])
+
+
+def test_threads_0_falls_back_to_the_cpu_count_without_sched_getaffinity(monkeypatch, pools):
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
+    run_experiment(ExperimentConfig(kind="full-clt", n_list=(8,), replicates=5))
+    assert pools == [3]
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
+def test_pool_workers_are_forked_as_the_cutoff_was_measured():
+    assert experiments._POOL_CONTEXT.get_start_method() == "fork"
 
 
 def test_records_are_replicate_ordered_and_json_clean():

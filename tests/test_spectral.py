@@ -1,4 +1,5 @@
 import cmath
+import logging
 import math
 
 import numpy as np
@@ -108,6 +109,57 @@ def test_solver_input_dtype_follows_the_ensemble(monkeypatch, dist, dtype):
     assert s.values.dtype == np.complex128
     assert ComplexMatrix(n=8, entries=m.entries.astype(complex)).entries.dtype == np.complex128
     assert ComplexMatrix(n=1, entries=[[1]]).entries.dtype == np.float64
+
+
+_OPENBLAS = spectral._openblas_threads()
+needs_openblas = pytest.mark.skipif(_OPENBLAS is None, reason="numpy's BLAS is not scipy-openblas")
+
+
+@needs_openblas
+@pytest.mark.parametrize("caller_threads", [1, 2])
+@pytest.mark.parametrize("fails", [False, True], ids=["solves", "fails"])
+def test_solve_runs_on_one_blas_thread_and_restores_the_callers(monkeypatch, caller_threads,
+                                                                 fails):
+    get, set_ = _OPENBLAS
+    solve, seen = np.linalg.eigvals, []
+
+    def spy(a):
+        seen.append(get())
+        if fails:
+            raise np.linalg.LinAlgError("forced")
+        return solve(a)
+
+    monkeypatch.setattr(spectral.np.linalg, "eigvals", spy)
+    matrix = sample_matrix(AtomDistribution("complex-gaussian"), 8, seed=1)
+    previous = get()
+    set_(caller_threads)
+    try:
+        if fails:
+            with pytest.raises(spectral.EigensolverError):
+                eigenvalues(matrix, scale=True)
+        else:
+            eigenvalues(matrix, scale=True)
+        after = get()
+    finally:
+        set_(previous)
+    assert seen == [1]
+    assert after == caller_threads
+
+
+def test_other_blas_is_logged_once_and_solved_unpinned(monkeypatch, tmp_path, caplog):
+    monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+    spectral._openblas_threads.cache_clear()
+    try:
+        with caplog.at_level(logging.WARNING, logger=spectral.__name__):
+            spectra = [eigenvalues(sample_matrix(AtomDistribution("complex-gaussian"), 4, seed=s),
+                                   scale=True) for s in (1, 2)]
+    finally:
+        spectral._openblas_threads.cache_clear()
+    assert [s.n for s in spectra] == [4, 4]
+    assert [r.getMessage() for r in caplog.records] == [
+        "numpy's BLAS is not the bundled scipy-openblas; BLAS work runs at its own "
+        "thread count, so its bytes may depend on that count"
+    ]
 
 
 def _by_position(values):

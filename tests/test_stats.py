@@ -4,6 +4,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from thinspec import spectral, stats
 from thinspec.ensembles import AtomDistribution, ComplexMatrix, atom_moments
 from thinspec.spectral import ComplexSpectrum, eigenvalues
 from thinspec.stats import (
@@ -272,6 +273,26 @@ def test_ginibre_variance_tail_warning_for_rough_function():
     out = ginibre_variance(sign_re, cg, real_atom=False)
     assert out.warning is not None
     assert out.fourier_tail > DEFAULT_QUAD.tail_tol
+
+
+@pytest.mark.skipif(spectral._openblas_threads() is None,
+                    reason="numpy's BLAS is not scipy-openblas")
+@pytest.mark.parametrize("f_id", ["re", "abs2", "repow_3"])
+def test_quadratures_run_on_one_blas_thread_and_restore_the_callers(monkeypatch, f_id):
+    get, set_ = spectral._openblas_threads()
+    grid, seen = stats._disk_grid, []
+    monkeypatch.setattr(stats, "_disk_grid", lambda *a: seen.append(get()) or grid(*a))
+    f, atom = function_by_id(f_id), atom_moments(AtomDistribution("rademacher"))
+    previous, outputs = get(), []
+    try:
+        for threads in (1, 2):
+            set_(threads)
+            outputs.append((disk_moments(f), ginibre_variance(f, atom, real_atom=True)))
+            assert get() == threads
+    finally:
+        set_(previous)
+    assert set(seen) == {1}
+    assert outputs[0] == outputs[1]
 
 
 def test_ginibre_variance_rejects_bad_inputs():
