@@ -4,14 +4,17 @@ Each pipeline draws all randomness from seeds derived per replicate and per
 stream (matrix draws and index-set draws are separate streams), and every
 solve runs on one BLAS thread, so re-runs are byte-identical regardless of
 how many workers execute the replicates or how many threads BLAS may use.
-`threads` workers solve a size's replicates side by side, one process each;
-0 (the default) means one per usable core.  A size with too little solve
-work for a process pool to pay off runs serially.
+`threads` workers solve a run's replicates side by side, one process each
+and one pool for all sizes; 0 (the default) means one per usable core.  A run
+with too little solve work for a process pool to pay off runs serially.  When
+a run has fewer replicates to solve than workers, each solve is a task of its
+own, so a replicate's matrices are solved side by side.
 
 Every kind runs the same path: `_replicate` samples each matrix, solves it
-scaled and hands the spectra to the kind's `measure`, and the runner
-summarizes the records per size.  `KINDS` holds each kind's seed streams,
-`measure`, `summarize` and `--assert` gate.
+scaled and hands the spectra to the kind's `measure` (split replicates are
+measured once their solves are back), and the runner summarizes the records
+per size.  `KINDS` holds each kind's seed streams, `measure`, `summarize` and
+`--assert` gate.
 
 Matrix seeds do not depend on what is measured, so the spectra of the most
 recent run are kept in `_SPECTRA`: a run of the same kind, base seed and
@@ -235,11 +238,12 @@ def _read_only(spectra: list) -> list:
     return spectra
 
 
-# Least solve work, in n^3 units summed over a size's unsolved matrices, that
-# a process pool is started for.  On 2 cores a pool adds about 0.1 s to a run
-# (start-up and the workers' first solves).  A real solve costs about 2.8 ns
-# per unit and a complex one 2.5x that, so a run of real solves breaks even
-# near 7e7 units; 1.3e8 leaves a margin for both.  Those figures are for
+# Least solve work, in n^3 units summed over the unsolved matrices of all a
+# run's sizes, that a process pool is started for; a run starts at most one
+# pool, whether a task is a replicate or one solve.  On 2 cores a pool adds
+# about 0.1 s to a run (start-up and the workers' first solves).  A real
+# solve costs about 2.8 ns per unit and a complex one 2.5x that, so a run of
+# real solves breaks even near 7e7 units; 1.3e8 leaves a margin for both.  Those figures are for
 # forked workers; a spawned one imports numpy and scipy again (about 1.4 s),
 # so where the pool cannot fork the cutoff is too low for a pool to pay off.
 _POOL_MIN_WORK = 1 << 27
@@ -255,59 +259,96 @@ def _usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _replicate(args):
-    """One replicate: (record, spectra), or (None, reason) when a solve fails.
+def _solve(args):
+    """One matrix sampled and solved scaled: its read-only spectrum, or why the solve failed."""
+    dist, n, seed = args
+    try:
+        return _read_only([eigenvalues(sample_matrix(dist, n, seed), scale=True)])[0]
+    except EigensolverError as exc:
+        return str(exc)
 
-    `seeds` maps each of the kind's seed fields to its derived seed; `solved`
-    is the replicate's memoized spectra or failure reason, or None to sample
-    and solve.  Module level so process pools can pickle it.
+
+def _solves(config: ExperimentConfig, n: int, seeds: dict) -> list:
+    """`_solve`'s arguments for each matrix of one replicate, in the kind's order."""
+    return [(dist or config.ensemble, n, seeds[name]) for name, dist in KINDS[config.kind].solves]
+
+
+def _measured(config: ExperimentConfig, n: int, seeds: dict, solved):
+    """(record, spectra) of one replicate, or (None, reason) when a solve failed.
+
+    `solved` holds each solve's spectrum or failure reason, or is the
+    replicate's memoized reason; the first reason stands for the replicate.
     """
-    config, n, seeds, solved = args
-    spec = KINDS[config.kind]
-    if solved is None:
-        try:
-            solved = _read_only([
-                eigenvalues(sample_matrix(dist or config.ensemble, n, seeds[name]), scale=True)
-                for name, dist in spec.solves
-            ])
-        except EigensolverError as exc:
-            solved = str(exc)
-    if isinstance(solved, str):
-        return None, solved
-    return {"n": n, **seeds, **spec.measure(config, n, solved, seeds)}, solved
+    reason = solved if isinstance(solved, str) else next(
+        (s for s in solved if isinstance(s, str)), None)
+    if reason is not None:
+        return None, reason
+    return {"n": n, **seeds, **KINDS[config.kind].measure(config, n, solved, seeds)}, solved
 
 
-def _replicate_records(config: ExperimentConfig, n: int) -> list:
-    """Records of the replicates at size n in replicate order, failed solves dropped.
+def _replicate(args):
+    """One replicate sampled, solved and measured; module level, as `_solve`, for pools."""
+    config, n, seeds = args
+    return _measured(config, n, seeds, [_solve(a) for a in _solves(config, n, seeds)])
+
+
+def _replicate_records(config: ExperimentConfig) -> dict:
+    """Records of each size's replicates in replicate order, failed solves dropped.
 
     Replicates held in `_SPECTRA` are measured without a solve; the others'
-    outcomes are stored there while the memo stays within _SPECTRA_BUDGET.
-    The others are solved by up to `threads` worker processes (0: one per
-    usable core), none more than there are to solve, unless their work is
-    below _POOL_MIN_WORK.
-    Raises SkipBudgetError when more than MAX_SKIP_FRACTION of them failed.
+    outcomes are stored there, a size at a time, while the memo stays within
+    _SPECTRA_BUDGET.  The others, of all sizes, go to one pool of up to
+    `threads` worker processes (0: one per usable core) and no more than
+    there are matrices to solve, unless their work is below _POOL_MIN_WORK.
+    A task is a replicate, or a single solve when there are fewer replicates
+    than workers; such replicates are measured here.  Outcomes are read a
+    size at a time, in n_list order.  Raises SkipBudgetError at the first
+    size where more than MAX_SKIP_FRACTION of the replicates failed, and
+    cancels the queued tasks.
     """
     run = (config.kind, config.base_seed,
            json.dumps(config.ensemble.to_dict(), sort_keys=True, separators=(",", ":")))
     if _SPECTRA and next(iter(_SPECTRA))[0] != run:
         _SPECTRA.clear()
     streams = KINDS[config.kind].streams
-    args = [
-        (config, n, {
-            name: derive_seed(config.base_seed, config.kind, n, r, tag)
-            for name, tag in streams.items()
-        }, _SPECTRA.get((run, n, r)))
-        for r in range(config.replicates)
+    sizes = {
+        n: [({name: derive_seed(config.base_seed, config.kind, n, r, tag)
+              for name, tag in streams.items()}, _SPECTRA.get((run, n, r)))
+            for r in range(config.replicates)]
+        for n in config.n_list  # a repeated size is solved and measured once
+    }
+    unsolved = [(config, n, seeds) for n, reps in sizes.items()
+                for seeds, solved in reps if solved is None]
+    solves = [a for args in unsolved for a in _solves(*args)]
+    workers = 1
+    if len(solves) > 1 and sum(n ** 3 for _, n, _ in solves) >= _POOL_MIN_WORK:
+        workers = min(config.threads or _usable_cores(), len(solves))
+    pool = None
+    try:
+        if workers < 2:
+            outcomes = map(_replicate, unsolved)
+        else:
+            pool = ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
+                                       initializer=pin_blas_to_one_thread)
+            if len(unsolved) < workers:
+                spectra = pool.map(_solve, solves)
+                per_replicate = KINDS[config.kind].solves
+                outcomes = (_measured(config, n, seeds, [next(spectra) for _ in per_replicate])
+                            for _, n, seeds in unsolved)
+            else:
+                outcomes = pool.map(_replicate, unsolved)
+        return {n: _size_records(config, run, n, reps, outcomes) for n, reps in sizes.items()}
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+
+
+def _size_records(config, run, n, reps, pending) -> list:
+    """One size's records: memo hits measured here, the others read from `pending`."""
+    outcomes = [
+        next(pending) if solved is None else _measured(config, n, seeds, solved)
+        for seeds, solved in reps
     ]
-    unsolved = sum(solved is None for *_, solved in args)
-    pooled = unsolved > 1 and unsolved * len(KINDS[config.kind].solves) * n ** 3 >= _POOL_MIN_WORK
-    workers = min(config.threads or _usable_cores(), unsolved) if pooled else 1
-    if workers < 2:
-        outcomes = [_replicate(a) for a in args]
-    else:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
-                                 initializer=pin_blas_to_one_thread) as pool:
-            outcomes = list(pool.map(_replicate, args))
     size = {(run, n, r): solved for r, (_, solved) in enumerate(outcomes)}
     spectra = [s for v in {**_SPECTRA, **size}.values() if not isinstance(v, str) for s in v]
     if sum(s.values.nbytes for s in spectra) <= _SPECTRA_BUDGET:
@@ -336,7 +377,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for n in range(1, config.n_max + 1)
         ]
     else:
-        sizes = [(n, _replicate_records(config, n)) for n in config.n_list]
+        by_n = _replicate_records(config)
+        sizes = [(n, by_n[n]) for n in config.n_list]
     records = [record for _, rows in sizes for record in rows]
     return ExperimentResult(config, records, KINDS[config.kind].summarize(config, sizes))
 

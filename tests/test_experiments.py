@@ -16,6 +16,8 @@ from thinspec.experiments import (
     KINDS,
     ConfigError,
     ExperimentConfig,
+    SkipBudgetError,
+    _measured,
     _replicate,
     _thinning_scan_for_n,
     config_hash,
@@ -188,7 +190,7 @@ def test_wasserstein_lattice_method():
 def test_local_law_same_seed_has_zero_discrepancy():
     # identical Ginibre draws produce identical spectra, hence zero discrepancy
     cfg = ExperimentConfig(kind="local-law-cells", n_list=(32,), grid_bound=1.25)
-    record, solved = _replicate((cfg, 32, {"seed_x": 123, "seed_g": 123}, None))
+    record, solved = _replicate((cfg, 32, {"seed_x": 123, "seed_g": 123}))
     assert not isinstance(solved, str)
     assert record["max_cell_discrepancy"] == 0
     assert record["x_in_grid"] == record["g_in_grid"]
@@ -206,7 +208,7 @@ def test_local_law_cells_do_not_depend_on_the_solve_path(n):
     assert np.any(real.values.imag == 0)
     cfg = ExperimentConfig(kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
                            n_list=(n,))
-    record, _ = _replicate((cfg, n, {}, [real, cast]))
+    record, _ = _measured(cfg, n, {}, [real, cast])
     assert record["max_cell_discrepancy"] == 0
 
 
@@ -423,9 +425,9 @@ def test_small_run_at_the_default_threads_builds_no_pool(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["partial-fixed-K", "local-law-cells"])
 def test_pool_starts_at_the_work_cutoff(monkeypatch, pools, kind):
-    # unsolved replicates x solves per replicate x n^3
-    work = 4 * len(KINDS[kind].solves) * 16 ** 3
-    config = ExperimentConfig(kind=kind, n_list=(16,), replicates=4, threads=2)
+    # n^3 summed over the run's unsolved matrices: neither size reaches it alone
+    work = 4 * len(KINDS[kind].solves) * (12 ** 3 + 16 ** 3)
+    config = ExperimentConfig(kind=kind, n_list=(12, 16), replicates=4, threads=2)
     monkeypatch.setattr(experiments, "_POOL_MIN_WORK", work + 1)
     serial = _outputs(config)
     assert pools == []
@@ -453,6 +455,55 @@ def test_threads_0_falls_back_to_the_cpu_count_without_sched_getaffinity(monkeyp
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 3)
     run_experiment(ExperimentConfig(kind="full-clt", n_list=(8,), replicates=5))
     assert pools == [3]
+
+
+@pytest.mark.parametrize("config, measured_here", [
+    # fewer replicates than workers: X's and G's solves are tasks of their own,
+    # and the replicate is measured in this process once both are back
+    (dict(kind="local-law-cells", n_list=(24,), replicates=1), 1),
+    # one pool for both sizes, whose workers measure the replicates they solve
+    (dict(kind="full-clt", n_list=(8, 12), replicates=3), 0),
+], ids=["solve_tasks", "sizes"])
+def test_one_pool_per_run_gives_the_serial_bytes(monkeypatch, pools, config, measured_here):
+    config = ExperimentConfig(**config, base_seed=6)
+    serial = _outputs(dataclasses.replace(config, threads=1))
+    experiments._SPECTRA.clear()
+    spec = KINDS[config.kind]
+    here = []  # forked workers append to their own copies
+    monkeypatch.setitem(KINDS, config.kind, dataclasses.replace(
+        spec, measure=lambda *args: here.append(args[1]) or spec.measure(*args)))
+    assert _outputs(dataclasses.replace(config, threads=2)) == serial
+    assert pools == [2]
+    assert len(here) == measured_here
+
+
+def test_a_repeated_size_is_solved_once(monkeypatch):
+    calls = _count_solves(monkeypatch)
+    config = ExperimentConfig(kind="full-clt", n_list=(8, 12, 8), replicates=2, threads=1)
+    result = run_experiment(config)
+    assert sorted(n for _, n, _ in calls) == [8, 8, 12, 12]
+    assert result.records[:2] == result.records[4:]
+    rows = result.summary["rows"]
+    assert [row["n"] for row in rows] == [8, 12, 8] and rows[0] == rows[2]
+
+
+@pytest.mark.parametrize("kind, replicates, threads", [
+    ("full-clt", 3, 2), ("local-law-cells", 1, 4),
+], ids=["replicate_tasks", "solve_tasks"])
+def test_pooled_run_stops_at_the_first_size_over_the_skip_budget(
+        monkeypatch, caplog, pools, kind, replicates, threads):
+    def fail(m, scale):  # forked workers inherit the patched solve
+        raise EigensolverError(f"forced failure at n={m.n}")
+
+    monkeypatch.setattr(experiments, "eigenvalues", fail)
+    config = ExperimentConfig(kind=kind, n_list=(8, 12), replicates=replicates, threads=threads)
+    with caplog.at_level(logging.WARNING, logger=experiments.__name__):
+        with pytest.raises(SkipBudgetError, match=f"{replicates}/{replicates} replicates"):
+            run_experiment(config)
+    assert pools == [threads]
+    assert [r.getMessage() for r in caplog.records] == [
+        f"replicate {r} skipped: forced failure at n=8" for r in range(replicates)
+    ]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="workers fork on Linux only")
