@@ -17,9 +17,10 @@ per size.  `KINDS` holds each kind's seed streams, `measure`, `summarize` and
 `--assert` gate.
 
 Matrix seeds do not depend on what is measured, so the spectra of the most
-recent run are kept in `_SPECTRA`: a run of the same kind, base seed and
-ensemble that differs only in f, K, method, w1_reps or grid bound reads
-them instead of solving again, and gives the same records.
+recent run are kept in `_SPECTRA`: a run with the same kind, base seed,
+ensemble, sizes and replicate count draws the same matrices, whatever its f,
+K, method, w1_reps or grid bound, and reads them instead of solving again,
+with the same records.  Any other run solves every matrix and replaces them.
 """
 
 from __future__ import annotations
@@ -64,9 +65,11 @@ log = logging.getLogger(__name__)
 MAX_SKIP_FRACTION = 0.01
 
 # Caps that keep memory bounded for any accepted config: per-rep W1 values
-# held by a wasserstein replicate, and local-law grid cells per axis.
+# held by a wasserstein replicate, local-law grid cells per axis, and worker
+# processes (a forked pool starts all its workers at once).
 MAX_W1_REPS = 1 << 16
 MAX_CELLS_PER_AXIS = 1000
+MAX_THREADS = 256
 
 # By field annotation: the JSON type a config-file value must have, in words
 # and as a test (exact, so a bool is no int), and its conversion to the field.
@@ -120,7 +123,8 @@ class ExperimentConfig:
              "n_list must be a nonempty list of positive integers"),
             (self.replicates < 1, "replicates must be >= 1"),
             (self.base_seed < 0, "base_seed must be nonnegative"),
-            (self.threads < 0, "threads must be >= 0 (0: one per usable core)"),
+            (not 0 <= self.threads <= MAX_THREADS,
+             f"threads must be in 0..{MAX_THREADS} (0: one per usable core)"),
             (not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"),
             (not 0 < self.k_divisor < math.inf or math.isinf(n_top ** 0.25 / self.k_divisor),
              f"k_divisor must be positive and finite, with n^(1/4)/k_divisor finite "
@@ -219,27 +223,20 @@ class ExperimentResult:
 # ---------------------------------------------------------------------------
 # The replicate path and the runner
 
-# Spectra of the most recent run, by (run, n, replicate): the replicate's
-# read-only scaled spectra, or the reason its solve failed.  `run` is (kind,
-# base seed, ensemble JSON), which with n and the replicate fixes every
-# matrix seed; a run with another identity clears the memo first.
+# The last run's solves under its matrix identity, which fixes every matrix
+# seed: per replicate in run order, each solve's read-only scaled spectrum or
+# the reason it failed.
 _SPECTRA: dict = {}
 
-# Most eigenvalue bytes the memo holds; a size that would pass it is not stored.
-# 16 MiB holds 1000 replicates at n=1024 (16 KiB each); a run that no later
-# run reads back, such as a CLI run, pays at most this plus about 0.5 KB of
-# bookkeeping per replicate.
+# Most eigenvalue bytes (16 each, n per solve) the memo holds: a run whose
+# solves would pass it keeps none of them.  16 MiB holds 1000 replicates at
+# n=1024 (16 KiB each); a run that no later run reads back, such as a CLI
+# run, holds them for nothing.
 _SPECTRA_BUDGET = 16 << 20
 
 
-def _read_only(spectra: list) -> list:
-    for spectrum in spectra:
-        spectrum.values.flags.writeable = False
-    return spectra
-
-
-# Least solve work, in n^3 units summed over the unsolved matrices of all a
-# run's sizes, that a process pool is started for; a run starts at most one
+# Least solve work, in n^3 units summed over the matrices of all a run's
+# sizes, that a process pool is started for; a run starts at most one
 # pool, whether a task is a replicate or one solve.  On 2 cores a pool adds
 # about 0.1 s to a run (start-up and the workers' first solves).  A real
 # solve costs about 2.8 ns per unit and a complex one 2.5x that, so a run of
@@ -263,9 +260,11 @@ def _solve(args):
     """One matrix sampled and solved scaled: its read-only spectrum, or why the solve failed."""
     dist, n, seed = args
     try:
-        return _read_only([eigenvalues(sample_matrix(dist, n, seed), scale=True)])[0]
+        spectrum = eigenvalues(sample_matrix(dist, n, seed), scale=True)
     except EigensolverError as exc:
         return str(exc)
+    spectrum.values.flags.writeable = False
+    return spectrum
 
 
 def _solves(config: ExperimentConfig, n: int, seeds: dict) -> list:
@@ -273,16 +272,15 @@ def _solves(config: ExperimentConfig, n: int, seeds: dict) -> list:
     return [(dist or config.ensemble, n, seeds[name]) for name, dist in KINDS[config.kind].solves]
 
 
-def _measured(config: ExperimentConfig, n: int, seeds: dict, solved):
-    """(record, spectra) of one replicate, or (None, reason) when a solve failed.
+def _measured(config: ExperimentConfig, n: int, seeds: dict, solved: list):
+    """(record, solved) of one replicate, or (reason, solved) when a solve failed.
 
-    `solved` holds each solve's spectrum or failure reason, or is the
-    replicate's memoized reason; the first reason stands for the replicate.
+    `solved` holds each solve's spectrum or failure reason; the first reason
+    stands for the replicate.
     """
-    reason = solved if isinstance(solved, str) else next(
-        (s for s in solved if isinstance(s, str)), None)
+    reason = next((s for s in solved if isinstance(s, str)), None)
     if reason is not None:
-        return None, reason
+        return reason, solved
     return {"n": n, **seeds, **KINDS[config.kind].measure(config, n, solved, seeds)}, solved
 
 
@@ -292,78 +290,79 @@ def _replicate(args):
     return _measured(config, n, seeds, [_solve(a) for a in _solves(config, n, seeds)])
 
 
-def _replicate_records(config: ExperimentConfig) -> dict:
-    """Records of each size's replicates in replicate order, failed solves dropped.
+def _replicate_records(config: ExperimentConfig) -> list:
+    """(n, records) per size of n_list, records in replicate order, failed solves dropped.
 
-    Replicates held in `_SPECTRA` are measured without a solve; the others'
-    outcomes are stored there, a size at a time, while the memo stays within
-    _SPECTRA_BUDGET.  The others, of all sizes, go to one pool of up to
-    `threads` worker processes (0: one per usable core) and no more than
-    there are matrices to solve, unless their work is below _POOL_MIN_WORK.
-    A task is a replicate, or a single solve when there are fewer replicates
-    than workers; such replicates are measured here.  Outcomes are read a
-    size at a time, in n_list order.  Raises SkipBudgetError at the first
-    size where more than MAX_SKIP_FRACTION of the replicates failed, and
-    cancels the queued tasks.
+    A run with the same kind, base seed, ensemble, sizes and replicate count
+    as the memo's run draws the same matrices, and their spectra are measured
+    here.  Any other run solves every matrix, and its solves replace the memo
+    if they fit _SPECTRA_BUDGET.  Its replicates, of all sizes, go to one pool
+    of up to `threads` worker processes (0: one per usable core) and no more
+    than there are matrices to solve, unless their work is below
+    _POOL_MIN_WORK.  A task is a replicate, or a single solve when there are
+    fewer replicates than workers; such replicates are measured here.  Either
+    way the outcomes are one stream in run order, read a size at a time in
+    n_list order.  Raises SkipBudgetError at the first size where more than
+    MAX_SKIP_FRACTION of the replicates failed, and cancels the queued tasks.
     """
+    sizes = dict.fromkeys(config.n_list)  # a repeated size is solved and measured once
     run = (config.kind, config.base_seed,
-           json.dumps(config.ensemble.to_dict(), sort_keys=True, separators=(",", ":")))
-    if _SPECTRA and next(iter(_SPECTRA))[0] != run:
-        _SPECTRA.clear()
+           json.dumps(config.ensemble.to_dict(), sort_keys=True, separators=(",", ":")),
+           tuple(sizes), config.replicates)
     streams = KINDS[config.kind].streams
-    sizes = {
-        n: [({name: derive_seed(config.base_seed, config.kind, n, r, tag)
-              for name, tag in streams.items()}, _SPECTRA.get((run, n, r)))
-            for r in range(config.replicates)]
-        for n in config.n_list  # a repeated size is solved and measured once
-    }
-    unsolved = [(config, n, seeds) for n, reps in sizes.items()
-                for seeds, solved in reps if solved is None]
-    solves = [a for args in unsolved for a in _solves(*args)]
+    replicates = [(config, n, {name: derive_seed(config.base_seed, config.kind, n, r, tag)
+                               for name, tag in streams.items()})
+                  for n in sizes for r in range(config.replicates)]
+    memo = _SPECTRA.get(run)
+    _SPECTRA.clear()  # until this run's solves are all in
+    nbytes = 16 * sum(sizes) * config.replicates * len(KINDS[config.kind].solves)
+    kept = [] if nbytes <= _SPECTRA_BUDGET else None  # the solves to store, in run order
+    solves = [] if memo else [a for args in replicates for a in _solves(*args)]
     workers = 1
     if len(solves) > 1 and sum(n ** 3 for _, n, _ in solves) >= _POOL_MIN_WORK:
         workers = min(config.threads or _usable_cores(), len(solves))
     pool = None
     try:
-        if workers < 2:
-            outcomes = map(_replicate, unsolved)
+        if memo:
+            outcomes = (_measured(*args, solved) for args, solved in zip(replicates, memo))
+        elif workers < 2:
+            outcomes = map(_replicate, replicates)
         else:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
                                        initializer=pin_blas_to_one_thread)
-            if len(unsolved) < workers:
+            if len(replicates) < workers:
                 spectra = pool.map(_solve, solves)
                 per_replicate = KINDS[config.kind].solves
-                outcomes = (_measured(config, n, seeds, [next(spectra) for _ in per_replicate])
-                            for _, n, seeds in unsolved)
+                outcomes = (_measured(*args, [next(spectra) for _ in per_replicate])
+                            for args in replicates)
             else:
-                outcomes = pool.map(_replicate, unsolved)
-        return {n: _size_records(config, run, n, reps, outcomes) for n, reps in sizes.items()}
+                outcomes = pool.map(_replicate, replicates)
+        by_n = {n: _size_records(config, outcomes, kept) for n in sizes}
+        if kept is not None:
+            for spectrum in (s for solved in kept for s in solved if not isinstance(s, str)):
+                spectrum.values.flags.writeable = False  # a pool's spectra arrive writeable
+            _SPECTRA[run] = kept
+        return [(n, by_n[n]) for n in config.n_list]
     finally:
         if pool is not None:
             pool.shutdown(cancel_futures=True)
 
 
-def _size_records(config, run, n, reps, pending) -> list:
-    """One size's records: memo hits measured here, the others read from `pending`."""
-    outcomes = [
-        next(pending) if solved is None else _measured(config, n, seeds, solved)
-        for seeds, solved in reps
-    ]
-    size = {(run, n, r): solved for r, (_, solved) in enumerate(outcomes)}
-    spectra = [s for v in {**_SPECTRA, **size}.values() if not isinstance(v, str) for s in v]
-    if sum(s.values.nbytes for s in spectra) <= _SPECTRA_BUDGET:
-        _SPECTRA.update(size)
-        _read_only(spectra)  # a pool's spectra arrive writeable
+def _size_records(config, outcomes, kept) -> list:
+    """One size's records from the run's outcome stream; its solves go on `kept` if a list."""
     records = []
-    for replicate, (record, solved) in enumerate(outcomes):
-        if record is None:
-            log.warning("replicate %d skipped: %s", replicate, solved)
+    for replicate in range(config.replicates):
+        record, solved = next(outcomes)
+        if kept is not None:
+            kept.append(solved)
+        if isinstance(record, str):
+            log.warning("replicate %d skipped: %s", replicate, record)
         else:
             records.append({"kind": config.kind, "replicate": replicate, **record})
-    skipped = len(outcomes) - len(records)
-    if skipped > MAX_SKIP_FRACTION * len(outcomes):
+    skipped = config.replicates - len(records)
+    if skipped > MAX_SKIP_FRACTION * config.replicates:
         raise SkipBudgetError(
-            f"{skipped}/{len(outcomes)} replicates skipped; exceeding the "
+            f"{skipped}/{config.replicates} replicates skipped; exceeding the "
             f"{MAX_SKIP_FRACTION:.0%} budget"
         )
     return records
@@ -377,8 +376,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
             for n in range(1, config.n_max + 1)
         ]
     else:
-        by_n = _replicate_records(config)
-        sizes = [(n, by_n[n]) for n in config.n_list]
+        sizes = _replicate_records(config)
     records = [record for _, rows in sizes for record in rows]
     return ExperimentResult(config, records, KINDS[config.kind].summarize(config, sizes))
 

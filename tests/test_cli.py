@@ -325,17 +325,22 @@ def test_experiment_flag_dests_are_config_keys():
     {"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [float("nan"), -1],
                                       "probs": [0.5, 0.5]}},
     {"kind": "full-clt", "threads": -1},
+    {"kind": "full-clt", "n_list": [64], "replicates": 5000, "threads": 5000},
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_infinity",
         "growing_k_0", "grid_bound_1",
         "grid_bound_infinity", "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0",
         "w1_reps_1e11",
         "unknown_f", "wasserstein_above_cap", "lattice_below_min_n", "complex_atom_second_moment",
-        "nan_probs", "nan_atom", "threads_negative"])
+        "nan_probs", "nan_atom", "threads_negative", "threads_5000"])
 def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):
     def no_solve(matrix, scale):
         raise AssertionError("eigenvalues called for an invalid config")
 
+    def no_pool(**kwargs):
+        raise AssertionError("process pool started for an invalid config")
+
     monkeypatch.setattr(experiments, "eigenvalues", no_solve)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", no_pool)
     command = {"partial-growing-K": ["partial-stats", "--growing"], "local-law-cells": ["local-law"],
                "wasserstein-decay": ["wasserstein"], "full-clt": ["full-clt"]}[config["kind"]]
     cfg = tmp_path / "invalid.json"

@@ -350,7 +350,7 @@ def test_pool_run_fills_the_memo_with_read_only_spectra(monkeypatch, pools):
     calls = _count_solves(monkeypatch)
     assert _outputs(swept) == expected
     assert calls == []
-    spectra = [s for solved in experiments._SPECTRA.values() for s in solved]
+    spectra = [s for run in experiments._SPECTRA.values() for solved in run for s in solved]
     assert len(spectra) == 4
     for spectrum in spectra:
         with pytest.raises(ValueError):
@@ -361,18 +361,22 @@ def test_pool_run_fills_the_memo_with_read_only_spectra(monkeypatch, pools):
     dict(kind="partial-growing-K"),
     dict(base_seed=18),
     dict(n_list=(12,)),
+    dict(n_list=(16, 12)),
+    dict(replicates=5),
     dict(ensemble=AtomDistribution("rademacher")),
     dict(ensemble=AtomDistribution("custom-discrete", atoms=(1, -1), probs=(0.5, 0.5))),
-], ids=["kind", "base_seed", "n", "ensemble", "ensemble_params"])
+], ids=["kind", "base_seed", "n", "n_list_superset", "replicates", "ensemble",
+        "ensemble_params"])
 def test_memo_misses_on_another_matrix_identity(monkeypatch, change):
     base = dict(kind="partial-fixed-K", n_list=(16,), k=1, replicates=4, base_seed=17,
                 ensemble=AtomDistribution("custom-discrete", atoms=(1j, -1j), probs=(0.5, 0.5)))
     run_experiment(ExperimentConfig(**base))
     calls = _count_solves(monkeypatch)
-    run_experiment(ExperimentConfig(**{**base, **change}))
-    assert len(calls) == 4
-    # one run is kept: another identity drops the earlier spectra, another n adds to them
-    assert len(experiments._SPECTRA) == (8 if "n_list" in change else 4)
+    config = ExperimentConfig(**{**base, **change})
+    run_experiment(config)
+    assert len(calls) == len(set(calls)) == len(config.n_list) * config.replicates
+    # one run is kept: another identity replaces the earlier spectra
+    assert [len(run) for run in experiments._SPECTRA.values()] == [len(calls)]
 
 
 def test_failed_solve_is_replayed_without_a_second_call(monkeypatch, caplog):
@@ -405,10 +409,10 @@ def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
     expected = _outputs(ExperimentConfig(**base, f_id="abs2"))
     experiments._SPECTRA.clear()
     run_experiment(ExperimentConfig(**base, f_id="re"))
-    assert {n for _, n, _ in experiments._SPECTRA} == {16}
+    assert experiments._SPECTRA == {}  # the run passed the budget, so none of it is stored
     calls = _count_solves(monkeypatch)
     assert _outputs(ExperimentConfig(**base, f_id="abs2")) == expected
-    assert [n for _, n, _ in calls] == [32] * 4
+    assert [n for _, n, _ in calls] == [16] * 4 + [32] * 4
 
 
 def test_small_run_at_the_default_threads_builds_no_pool(monkeypatch):
@@ -437,16 +441,13 @@ def test_pool_starts_at_the_work_cutoff(monkeypatch, pools, kind):
     assert pools == [2]
 
 
-@pytest.mark.parametrize("cores, memoized, workers", [
-    (4, 0, 4), (8, 0, 5), (8, 2, 3), (2, 0, 2), (1, 0, None), (8, 4, None),
-], ids=["cores", "replicates", "unsolved", "two_cores", "one_core", "one_unsolved"])
+@pytest.mark.parametrize("cores, workers", [
+    (4, 4), (8, 5), (2, 2), (1, None),
+], ids=["cores", "replicates", "two_cores", "one_core"])
 def test_threads_0_starts_a_worker_per_usable_core_and_unsolved_replicate(
-        monkeypatch, pools, cores, memoized, workers):
+        monkeypatch, pools, cores, workers):
     monkeypatch.setattr(experiments, "_usable_cores", lambda: cores)
-    base = dict(kind="full-clt", n_list=(8,), base_seed=2)
-    if memoized:  # replicates 0..memoized-1 are measured from the memo
-        run_experiment(ExperimentConfig(**base, replicates=memoized, threads=1))
-    run_experiment(ExperimentConfig(**base, replicates=5))
+    run_experiment(ExperimentConfig(kind="full-clt", n_list=(8,), base_seed=2, replicates=5))
     assert pools == ([workers] if workers else [])
 
 
