@@ -33,8 +33,10 @@ import math
 import multiprocessing
 import os
 import sys
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Callable
 
@@ -250,6 +252,11 @@ _POOL_MIN_WORK = 1 << 27
 _POOL_CONTEXT = multiprocessing.get_context("fork" if sys.platform.startswith("linux") else None)
 
 
+# Tasks in flight per pool worker (queued, running, or done and unread): enough
+# to keep each worker busy while results are read, and no run holds more.
+_TASKS_PER_WORKER = 4
+
+
 def _usable_cores() -> int:
     if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
         return len(os.sched_getaffinity(0))
@@ -265,6 +272,16 @@ def _solve(args):
         return str(exc)
     spectrum.values.flags.writeable = False
     return spectrum
+
+
+def _pool_map(pool, fn, items, workers):
+    """`pool.map(fn, items)` with no more than _TASKS_PER_WORKER * workers tasks unread."""
+    items = iter(items)
+    futures = deque(pool.submit(fn, x) for x in islice(items, _TASKS_PER_WORKER * workers))
+    while futures:
+        result = futures.popleft().result()
+        futures.extend(pool.submit(fn, x) for x in islice(items, 1))
+        yield result
 
 
 def _solves(config: ExperimentConfig, n: int, seeds: dict) -> list:
@@ -302,7 +319,8 @@ def _replicate_records(config: ExperimentConfig) -> list:
     _POOL_MIN_WORK.  A task is a replicate, or a single solve when there are
     fewer replicates than workers; such replicates are measured here.  Either
     way the outcomes are one stream in run order, read a size at a time in
-    n_list order.  Raises SkipBudgetError at the first size where more than
+    n_list order, with _TASKS_PER_WORKER tasks per worker submitted ahead.
+    Raises SkipBudgetError at the first size where more than
     MAX_SKIP_FRACTION of the replicates failed, and cancels the queued tasks.
     """
     sizes = dict.fromkeys(config.n_list)  # a repeated size is solved and measured once
@@ -331,12 +349,12 @@ def _replicate_records(config: ExperimentConfig) -> list:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
                                        initializer=pin_blas_to_one_thread)
             if len(replicates) < workers:
-                spectra = pool.map(_solve, solves)
+                spectra = _pool_map(pool, _solve, solves, workers)
                 per_replicate = KINDS[config.kind].solves
                 outcomes = (_measured(*args, [next(spectra) for _ in per_replicate])
                             for args in replicates)
             else:
-                outcomes = pool.map(_replicate, replicates)
+                outcomes = _pool_map(pool, _replicate, replicates, workers)
         by_n = {n: _size_records(config, outcomes, kept) for n in sizes}
         if kept is not None:
             for spectrum in (s for solved in kept for s in solved if not isinstance(s, str)):
@@ -390,16 +408,9 @@ def _measure_partial(config, n, spectra, seeds):
     index_set = sample_index_set(n, k, seeds["seed_index"])
     kept, removed = partial_statistic(spectra[0], function_by_id(config.f_id), index_set)
     full = kept + removed
-    return {
-        "f": config.f_id,
-        "k": k,
-        "kept_re": kept.real,
-        "kept_im": kept.imag,
-        "removed_re": removed.real,
-        "removed_im": removed.imag,
-        "full_re": full.real,
-        "full_im": full.imag,
-    }
+    return {"f": config.f_id, "k": k, "kept_re": kept.real, "kept_im": kept.imag,
+            "removed_re": removed.real, "removed_im": removed.imag,
+            "full_re": full.real, "full_im": full.imag}
 
 
 def _measure_full(config, n, spectra, seeds):
@@ -420,14 +431,9 @@ def _measure_cells(config, n, spectra, seeds):
     counts_x = cell_counts(spec_x.values, grid)[:live]
     counts_g = cell_counts(spec_g.values, grid)[:live]
     max_disc = int(np.max(np.abs(counts_x - counts_g)))
-    return {
-        "max_cell_discrepancy": max_disc,
-        "normalized_discrepancy": max_disc / n ** 0.25,
-        "x_in_grid": int(counts_x.sum()),
-        "g_in_grid": int(counts_g.sum()),
-        "radius_x": spectral_radius(spec_x),
-        "radius_g": spectral_radius(spec_g),
-    }
+    return {"max_cell_discrepancy": max_disc, "normalized_discrepancy": max_disc / n ** 0.25,
+            "x_in_grid": int(counts_x.sum()), "g_in_grid": int(counts_g.sum()),
+            "radius_x": spectral_radius(spec_x), "radius_g": spectral_radius(spec_g)}
 
 
 def _centered_variance(values: np.ndarray) -> float:
@@ -450,14 +456,8 @@ def _fixed_k_row(config, n, rows):
     k = config.k_for(n)
     removed = np.array([r["removed_re"] for r in rows])
     kept = np.array([r["kept_re"] for r in rows])
-    limit = LimitSpec(
-        sigma2=0.0,
-        mean_f=moments.mean_f,
-        var_re=moments.var_re,
-        var_im=moments.var_im,
-        cov=moments.cov,
-        K=k,
-    )
+    limit = LimitSpec(sigma2=0.0, mean_f=moments.mean_f, var_re=moments.var_re,
+                      var_im=moments.var_im, cov=moments.cov, K=k)
     # Removed-part limit is sum_i (f(U_i) - E f(U_i)): the negated
     # sigma2=0 sampler output.
     limit_samples = -limit_sampler_fixed_K(
@@ -568,7 +568,7 @@ def _cells_row(config, n, rows):
     }
 
 
-# Most (K, J, j) cells one block of the thinning scan spans.
+# Most (K, J, j) cells, feasible or not, that one K block of the thinning scan spans.
 _SCAN_BLOCK = 1 << 21
 
 
@@ -578,27 +578,35 @@ def _thinning_scan_for_n(n: int):
     Only feasible triples are evaluated (elsewhere pmf = 0, which neither
     violates the bound nor holds the worst ratio), in C order and in blocks
     of K spanning at most _SCAN_BLOCK cells, so memory is O(n^2 + block).
+    The feasible j of each (K, J) are one run, max(0, K-J) <= j <= min(K, n-J),
+    so the triples are built run by run; p = 1 - J/n and its logs are per J.
     """
-    a = np.arange(n + 1)
+    w = n + 1
+    a = np.arange(w)
     lg = gammaln(a + 1)
-    lc = (lg[:, None] - lg) - lg[np.abs(a[:, None] - a)]  # log C(a, b), read at b <= a
+    lc = ((lg[:, None] - lg) - lg[np.abs(a[:, None] - a)]).ravel()  # log C(a, b) at a*w + b, b <= a
     kf = np.arange(1, n + 1, dtype=np.float64)
     # An overflowed prefactor is an infinite bound, except where the
     # binomial factor is 0: there the bound is 0, not inf * 0.
     with np.errstate(over="ignore"):
         prefactor = np.exp((kf * kf / n) / np.sqrt(1.0 - (kf - 1.0) / n))
-    step = max(1, _SCAN_BLOCK // (n + 1) ** 2)
+    p = 1.0 - a / n
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(p), np.log1p(-p)
+    point = (a == 0) | (a == n)  # p = 1 or 0: a point mass at the only feasible j (K or 0)
+    step = max(1, _SCAN_BLOCK // w ** 2)
     violations, worst = 0, None
     for k0 in range(1, n + 1, step):
-        ks = np.arange(k0, min(k0 + step, n + 1))[:, None, None]
-        k, j_size, j = np.nonzero((a <= ks) & (a <= n - a[:, None]) & (ks - a <= a[:, None]))
-        k += k0
-        pmf = np.exp((lc[n - j_size, j] + lc[j_size, k - j]) - lc[n, k])
-        p = 1.0 - j_size / n
-        with np.errstate(invalid="ignore", divide="ignore"):
-            log_binom = lc[k, j] + j * np.log(p) + (k - j) * np.log1p(-p)
-        # p = 1 or 0 (J = 0 or n): a point mass at the only feasible j (K or 0)
-        binom = np.where((j_size == 0) | (j_size == n), 1.0, np.exp(log_binom))
+        ks = np.arange(k0, min(k0 + step, n + 1))[:, None]
+        lo = np.maximum(ks - a, 0)
+        runs = (np.minimum(ks, n - a) - lo + 1).ravel()
+        k = np.repeat(ks.ravel(), runs.reshape(len(ks), w).sum(axis=1))
+        j_size = np.repeat(np.tile(a, len(ks)), runs)
+        j = np.repeat(lo.ravel() - (np.cumsum(runs) - runs), runs) + np.arange(len(k))
+        pmf = np.exp((lc[(n - j_size) * w + j] + lc[j_size * w + (k - j)]) - lc[n * w + k])
+        with np.errstate(invalid="ignore"):
+            log_binom = lc[k * w + j] + j * log_p[j_size] + (k - j) * log_q[j_size]
+        binom = np.where(point[j_size], 1.0, np.exp(log_binom))
         bound = np.multiply(prefactor[k - 1], binom, out=np.zeros_like(binom), where=binom > 0)
         violations += int(np.count_nonzero(pmf > bound * (1 + 1e-12)))
         mask = pmf > 0

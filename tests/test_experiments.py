@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import logging
 import math
 import sys
 import tracemalloc
 import warnings
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -229,17 +231,23 @@ def test_local_law_small_run():
 def test_thinning_scan_matches_scalar_ops():
     for n in (1, 2, 7, 12):
         row = _thinning_scan_for_n(n)
-        assert row["violations"] == 0
-        worst = 0.0
+        violations, ratios = 0, {}
         for k in range(1, n + 1):
             for j_size in range(n + 1):
                 for j in range(k + 1):
                     pmf = hypergeom_removal_pmf(n, k, j_size, j)
                     bound = near_binomial_bound(n, k, j_size, j)
-                    assert pmf <= bound * (1 + 1e-12)
+                    violations += pmf > bound * (1 + 1e-12)
                     if pmf > 0:
-                        worst = max(worst, pmf / bound)
+                        ratios[k, j_size, j] = pmf / bound
+        worst = max(ratios.values())
+        assert row["violations"] == violations == 0
         assert row["worst_ratio"] == pytest.approx(worst, rel=1e-12)
+        # The reported cell holds the worst ratio.  Its 2n cells at K = 1 all
+        # have ratio exp(-1/n) exactly, so rounding picks which one is first.
+        at = (row["k"], row["j_size"], row["j"])
+        assert ratios[at] == pytest.approx(worst, rel=1e-12)
+        assert at[0] == 1 and sum(r >= worst * (1 - 1e-12) for r in ratios.values()) == 2 * n
 
 
 def test_thinning_bound_overflow_is_an_infinite_bound():
@@ -259,6 +267,31 @@ def test_thinning_scan_rows_do_not_depend_on_block_size(monkeypatch):
     default_rows = [_thinning_scan_for_n(n) for n in ns]
     monkeypatch.setattr(experiments, "_SCAN_BLOCK", 300)
     assert [_thinning_scan_for_n(n) for n in ns] == default_rows
+
+
+def test_thinning_bound_records_across_k_blocks_are_pinned():
+    # from n = 128 on, a scan spans several blocks of K at the default _SCAN_BLOCK
+    result = run_experiment(ExperimentConfig(kind="thinning-bound", n_max=130))
+    digest = hashlib.sha256(records_jsonl(result).encode("utf-8")).hexdigest()
+    assert digest == "a03e9231f261f1c42c54443bea80009fb607815511b8059b6dfea915059c137e"
+
+
+def test_pool_map_keeps_a_few_tasks_per_worker_ahead_in_run_order():
+    submitted = []
+
+    class DonePool:  # futures that are done when submitted, so no worker process
+        def submit(self, fn, x):
+            submitted.append(x)
+            future = Future()
+            future.set_result(fn(x))
+            return future
+
+    ahead = 2 * experiments._TASKS_PER_WORKER
+    results = []
+    for result in experiments._pool_map(DonePool(), lambda x: x * x, range(30), workers=2):
+        assert len(submitted) == min(30, len(results) + 1 + ahead)
+        results.append(result)
+    assert results == [x * x for x in range(30)] and submitted == list(range(30))
 
 
 def test_thinning_scan_memory_is_quadratic():

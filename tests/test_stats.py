@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -350,6 +354,15 @@ def test_ks_two_sample_basics():
     assert p < 1e-10
     with pytest.raises(ValueError):
         ks_two_sample([], [1.0])
+
+
+def test_importing_thinspec_leaves_scipy_stats_to_the_ks_test():
+    # scipy.stats takes most of a CLI start to import; only ks_two_sample needs it
+    code = "import sys, thinspec, thinspec.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    assert proc.stdout.strip() == "False"
 
 
 def test_ks_two_sample_null_calibration():
