@@ -31,7 +31,6 @@ from .spectral import (
 )
 from .stats import (
     IndexSet,
-    LimitSpec,
     QuadratureSpec,
     TestFunction,
     disk_moments,

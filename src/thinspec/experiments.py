@@ -10,11 +10,11 @@ with too little solve work for a process pool to pay off runs serially.  When
 a run has fewer replicates to solve than workers, each solve is a task of its
 own, so a replicate's matrices are solved side by side.
 
-Every kind runs the same path: `_replicate` samples each matrix, solves it
-scaled and hands the spectra to the kind's `measure` (split replicates are
-measured once their solves are back), and the runner summarizes the records
-per size.  `KINDS` holds each kind's seed streams, `measure`, `summarize` and
-`--assert` gate.
+Every kind runs the same path: `_solve` samples each matrix and solves it
+scaled, and `_measured` hands a replicate's spectra to the kind's `measure`,
+in the pool worker that solved them or here, where the solves arrive as one
+stream in run order.  The runner summarizes the records per size.  `KINDS`
+holds each kind's seed streams, `measure`, `summarize` and `--assert` gate.
 
 Matrix seeds do not depend on what is measured, so the spectra of the most
 recent run are kept in `_SPECTRA`: a run with the same kind, base seed,
@@ -45,11 +45,10 @@ from scipy.special import gammaln
 
 from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
 from .lattice import MIN_N
-from .seeding import derive_seed64, make_rng
+from .seeding import derive_seed64
 from .spectral import EigensolverError, eigenvalues, pin_blas_to_one_thread, spectral_radius
 from .stats import (
     BUILTIN_FUNCTIONS,
-    LimitSpec,
     disk_moments,
     ginibre_variance,
     ks_two_sample,
@@ -226,8 +225,8 @@ class ExperimentResult:
 # The replicate path and the runner
 
 # The last run's solves under its matrix identity, which fixes every matrix
-# seed: per replicate in run order, each solve's read-only scaled spectrum or
-# the reason it failed.
+# seed: each solve's read-only scaled spectrum or the reason it failed, in
+# run order.
 _SPECTRA: dict = {}
 
 # Most eigenvalue bytes (16 each, n per solve) the memo holds: a run whose
@@ -302,7 +301,7 @@ def _measured(config: ExperimentConfig, n: int, seeds: dict, solved: list):
 
 
 def _replicate(args):
-    """One replicate sampled, solved and measured; module level, as `_solve`, for pools."""
+    """One replicate sampled, solved and measured: the pool task that measures in its worker."""
     config, n, seeds = args
     return _measured(config, n, seeds, [_solve(a) for a in _solves(config, n, seeds)])
 
@@ -313,27 +312,27 @@ def _replicate_records(config: ExperimentConfig) -> list:
     A run with the same kind, base seed, ensemble, sizes and replicate count
     as the memo's run draws the same matrices, and their spectra are measured
     here.  Any other run solves every matrix, and its solves replace the memo
-    if they fit _SPECTRA_BUDGET.  Its replicates, of all sizes, go to one pool
-    of up to `threads` worker processes (0: one per usable core) and no more
-    than there are matrices to solve, unless their work is below
-    _POOL_MIN_WORK.  A task is a replicate, or a single solve when there are
-    fewer replicates than workers; such replicates are measured here.  Either
-    way the outcomes are one stream in run order, read a size at a time in
-    n_list order, with _TASKS_PER_WORKER tasks per worker submitted ahead.
-    Raises SkipBudgetError at the first size where more than
-    MAX_SKIP_FRACTION of the replicates failed, and cancels the queued tasks.
+    if they fit _SPECTRA_BUDGET.  Its matrices, of all sizes, are solved here
+    if their work is below _POOL_MIN_WORK, else in one pool of up to `threads`
+    worker processes (0: one per usable core) and no more than there are
+    matrices.  A pool task is a replicate, measured in the worker, or one
+    solve when there are fewer replicates than workers.  Otherwise the solves
+    are one stream in run order, memoized, solved here or by the pool, that
+    is measured here.  Outcomes are read a size at a time in n_list order,
+    with _TASKS_PER_WORKER tasks per worker submitted ahead.  Raises
+    SkipBudgetError at the first size where more than MAX_SKIP_FRACTION of
+    the replicates failed, and cancels the queued tasks.
     """
     sizes = dict.fromkeys(config.n_list)  # a repeated size is solved and measured once
-    run = (config.kind, config.base_seed,
-           json.dumps(config.ensemble.to_dict(), sort_keys=True, separators=(",", ":")),
-           tuple(sizes), config.replicates)
+    run = (config.kind, config.base_seed, config.ensemble, tuple(sizes), config.replicates)
     streams = KINDS[config.kind].streams
     replicates = [(config, n, {name: derive_seed(config.base_seed, config.kind, n, r, tag)
                                for name, tag in streams.items()})
                   for n in sizes for r in range(config.replicates)]
     memo = _SPECTRA.get(run)
     _SPECTRA.clear()  # until this run's solves are all in
-    nbytes = 16 * sum(sizes) * config.replicates * len(KINDS[config.kind].solves)
+    per_replicate = len(KINDS[config.kind].solves)
+    nbytes = 16 * sum(sizes) * config.replicates * per_replicate
     kept = [] if nbytes <= _SPECTRA_BUDGET else None  # the solves to store, in run order
     solves = [] if memo else [a for args in replicates for a in _solves(*args)]
     workers = 1
@@ -341,23 +340,24 @@ def _replicate_records(config: ExperimentConfig) -> list:
         workers = min(config.threads or _usable_cores(), len(solves))
     pool = None
     try:
-        if memo:
-            outcomes = (_measured(*args, solved) for args, solved in zip(replicates, memo))
-        elif workers < 2:
-            outcomes = map(_replicate, replicates)
-        else:
+        if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
                                        initializer=pin_blas_to_one_thread)
-            if len(replicates) < workers:
-                spectra = _pool_map(pool, _solve, solves, workers)
-                per_replicate = KINDS[config.kind].solves
-                outcomes = (_measured(*args, [next(spectra) for _ in per_replicate])
-                            for args in replicates)
+        if pool is not None and len(replicates) >= workers:
+            # a measure's working memory (16 MB for an n=1024 W1 sample) stays in the worker
+            outcomes = _pool_map(pool, _replicate, replicates, workers)
+        else:
+            if memo:
+                spectra = iter(memo)
+            elif pool is None:
+                spectra = map(_solve, solves)
             else:
-                outcomes = _pool_map(pool, _replicate, replicates, workers)
+                spectra = _pool_map(pool, _solve, solves, workers)
+            outcomes = (_measured(*args, list(islice(spectra, per_replicate)))
+                        for args in replicates)
         by_n = {n: _size_records(config, outcomes, kept) for n in sizes}
         if kept is not None:
-            for spectrum in (s for solved in kept for s in solved if not isinstance(s, str)):
+            for spectrum in (s for s in kept if not isinstance(s, str)):
                 spectrum.values.flags.writeable = False  # a pool's spectra arrive writeable
             _SPECTRA[run] = kept
         return [(n, by_n[n]) for n in config.n_list]
@@ -372,7 +372,7 @@ def _size_records(config, outcomes, kept) -> list:
     for replicate in range(config.replicates):
         record, solved = next(outcomes)
         if kept is not None:
-            kept.append(solved)
+            kept.extend(solved)
         if isinstance(record, str):
             log.warning("replicate %d skipped: %s", replicate, record)
         else:
@@ -456,12 +456,11 @@ def _fixed_k_row(config, n, rows):
     k = config.k_for(n)
     removed = np.array([r["removed_re"] for r in rows])
     kept = np.array([r["kept_re"] for r in rows])
-    limit = LimitSpec(sigma2=0.0, mean_f=moments.mean_f, var_re=moments.var_re,
-                      var_im=moments.var_im, cov=moments.cov, K=k)
     # Removed-part limit is sum_i (f(U_i) - E f(U_i)): the negated
     # sigma2=0 sampler output.
     limit_samples = -limit_sampler_fixed_K(
-        limit, f, len(rows), derive_seed(config.base_seed, config.kind, n, 0, "limit")
+        f, moments.mean_f, K=k, sigma2=0.0, count=len(rows),
+        seed=derive_seed(config.base_seed, config.kind, n, 0, "limit"),
     ).real
     ks_stat, ks_p = ks_two_sample(removed - removed.mean(), limit_samples)
     return {
@@ -482,17 +481,20 @@ def _growing_k_row(config, n, rows):
 
     Compares the centered, sqrt(K)-normalized removed and kept parts to the
     Gaussian limit with disk-moment covariances, including a two-sample KS
-    against Gaussian draws of the target variance.
+    against Gaussian draws of the target variance (the limit sampler at K = 0).
     """
-    moments = disk_moments(function_by_id(config.f_id))
+    f = function_by_id(config.f_id)
+    moments = disk_moments(f)
     k = config.k_for(n)
     sqrt_k = math.sqrt(k)
     rem_re = np.array([r["removed_re"] for r in rows]) / sqrt_k
     rem_im = np.array([r["removed_im"] for r in rows]) / sqrt_k
     kept_re = np.array([r["kept_re"] for r in rows]) / sqrt_k
     centered = rem_re - rem_re.mean()
-    rng = make_rng(derive_seed(config.base_seed, config.kind, n, 0, "gauss"))
-    gauss = math.sqrt(max(moments.var_re, 0.0)) * rng.standard_normal(len(rows))
+    gauss = limit_sampler_fixed_K(
+        f, moments.mean_f, K=0, sigma2=moments.var_re, count=len(rows),
+        seed=derive_seed(config.base_seed, config.kind, n, 0, "gauss"),
+    ).real
     ks_stat, ks_p = ks_two_sample(centered, gauss)
     return {
         "n": n,
@@ -745,8 +747,9 @@ def write_records_jsonl(path, result: ExperimentResult):
 
 
 def write_summary_csv(path, result: ExperimentResult):
-    """Summary rows as CSV under a config-hash comment header."""
-    rows = result.summary.get("rows") or [result.summary]
+    """Summary rows, each with the summary's other fields, as CSV under a config-hash header."""
+    scalars = {key: value for key, value in result.summary.items() if key != "rows"}
+    rows = [{**row, **scalars} for row in result.summary.get("rows", ())] or [scalars]
     fieldnames = sorted({key for row in rows for key in row})
     with open(path, "w", newline="", encoding="utf-8") as handle:
         handle.write(f"# config_hash={config_hash(result.config)}\n")

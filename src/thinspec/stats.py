@@ -109,34 +109,6 @@ class IndexSet:
             raise ValueError("indices must be strictly increasing within 0..n-1")
         object.__setattr__(self, "indices", idx)
 
-    @property
-    def k(self) -> int:
-        return self.indices.size
-
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """Parameters of the fixed-thinning limit law.
-
-    sigma2 is the variance of the independent Gaussian component; the disk
-    moments describe f(U) for U uniform on the unit disk; K is the number
-    of removed points.
-    """
-
-    sigma2: float
-    mean_f: complex
-    var_re: float
-    var_im: float
-    cov: float
-    K: int
-
-    def __post_init__(self):
-        if self.sigma2 < 0 or self.var_re < 0 or self.var_im < 0 or self.K < 0:
-            raise ValueError("sigma2, variances, and K must be nonnegative")
-        bound = math.sqrt(self.var_re * self.var_im)
-        if abs(self.cov) > bound + 1e-12:
-            raise ValueError("covariance violates Cauchy-Schwarz")
-
 
 def _exact_sum(terms: np.ndarray) -> complex:
     """Exactly rounded sum of complex terms (order-independent)."""
@@ -412,22 +384,22 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool,
     )
 
 
-def limit_sampler_fixed_K(spec: LimitSpec, f: TestFunction, count: int, seed: int
-                          ) -> np.ndarray:
-    """iid samples of S - sum_{i<=K} (f(U_i) - E f(U_i)).
+def limit_sampler_fixed_K(f: TestFunction, mean_f: complex, K: int, sigma2: float,
+                          count: int, seed: int) -> np.ndarray:
+    """iid samples of S - sum_{i<=K} (f(U_i) - mean_f).
 
-    S is N(0, sigma2) independent of the iid uniform-disk U_i; this is the
-    fixed-thinning limit of the kept-part statistic (sigma2 = 0 gives the
-    negated removed-part limit).
+    S is N(0, sigma2) independent of the iid uniform-disk U_i, and mean_f is
+    E f(U); this is the fixed-thinning limit of the kept-part statistic
+    (sigma2 = 0 gives the negated removed-part limit, K = 0 the Gaussian).
     """
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    if count < 1 or K < 0 or sigma2 < 0:
+        raise ValueError("need count >= 1, K >= 0 and sigma2 >= 0")
     rng = make_rng(seed)
-    gauss = math.sqrt(spec.sigma2) * rng.standard_normal(count)
+    gauss = math.sqrt(sigma2) * rng.standard_normal(count)
     samples = gauss.astype(np.complex128)
-    if spec.K > 0:
-        u = disk_points(rng, (count, spec.K))
-        deviations = np.asarray(f.evaluate(u), dtype=np.complex128) - spec.mean_f
+    if K > 0:
+        u = disk_points(rng, (count, K))
+        deviations = np.asarray(f.evaluate(u), dtype=np.complex128) - mean_f
         samples = samples - deviations.sum(axis=1)
     return samples
 

@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -82,6 +83,20 @@ def test_wasserstein_csv(tmp_path):
     lines = records.read_text().splitlines()
     assert "config_hash" in json.loads(lines[0])
     assert len(lines) == 5
+
+
+def test_wasserstein_summary_carries_the_loglog_slope(tmp_path):
+    summary = tmp_path / "s.csv"
+    assert main(["wasserstein", "--n-list", "16,32", "--trials", "2",
+                 "--summary", str(summary)]) == 0
+    lines = summary.read_text().splitlines()
+    assert lines[0].startswith("# config_hash=")
+    rows = list(csv.DictReader(lines[1:]))
+    assert [row["n"] for row in rows] == ["16", "32"]
+    # two sizes: the log-log slope is that of the line through both means
+    means = [float(row["w1_mean"]) for row in rows]
+    slope = math.log(means[1] / means[0]) / math.log(2)
+    assert [float(row["loglog_slope"]) for row in rows] == [pytest.approx(slope)] * 2
 
 
 def test_partial_stats_jsonl(tmp_path):

@@ -328,6 +328,48 @@ def test_jsonl_reproducibility_across_threads(pools):
     assert header["config_hash"] == config_hash(ExperimentConfig(**base))
 
 
+# SHA-256 prefixes of records_jsonl and of the summary JSON, to hold across
+# versions: one config per kind, and two with several sizes, one repeated.
+REPLAY_PINS = {
+    "fixed_k": (dict(kind="partial-fixed-K", n_list=(24, 40), k=3, f_id="abs2", replicates=12,
+                     base_seed=7), "ec7c436e53948630", "0b3bb7d6569d1331"),
+    "growing_k": (dict(kind="partial-growing-K", n_list=(81,), f_id="repow_3", replicates=8,
+                       base_seed=4), "cdbd326e7d742d4a", "c19f5e3b9435f6fa"),
+    "full_clt": (dict(kind="full-clt", ensemble=AtomDistribution("rademacher"), n_list=(16, 24),
+                      replicates=6, base_seed=5), "89f9da669eb0b683", "67e9539036c22307"),
+    "w1_sample": (dict(kind="wasserstein-decay", n_list=(9, 16), w1_reps=2, replicates=3,
+                       base_seed=6), "7f655be509d90777", "5e572008350117b7"),
+    "w1_lattice": (dict(kind="wasserstein-decay", method="lattice", n_list=(16, 25), replicates=2,
+                        base_seed=6), "0ad248ed0ed2be7a", "ba06df51c30aa357"),
+    "local_law": (dict(kind="local-law-cells", ensemble=AtomDistribution("real-gaussian"),
+                       n_list=(32,), replicates=3, base_seed=8),
+                  "ca3280f9f91ab8a2", "bbba2403eace118d"),
+    "thinning": (dict(kind="thinning-bound", n_max=20, replicates=1),
+                 "693b234f00fe4893", "7e9bba2d147acf88"),
+    "local_law_sizes": (dict(kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
+                             n_list=(128, 64), replicates=1, base_seed=3),
+                        "59f354c5be5a59fd", "d275e26de84b586d"),
+    "w1_sizes": (dict(kind="wasserstein-decay", n_list=(64, 128, 64), replicates=2, base_seed=9),
+                 "faf780804a8e81ca", "2b9f3f86e81f9fe2"),
+}
+
+
+@pytest.mark.parametrize("config, records_pin, summary_pin", REPLAY_PINS.values(),
+                         ids=REPLAY_PINS.keys())
+def test_replay_hashes_are_pinned(pools, config, records_pin, summary_pin):
+    def digest(text):
+        return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+    # solved serially, then by a pool, then read from the memo the pool's run filled
+    for threads, fresh in ((1, True), (2, True), (1, False)):
+        if fresh:
+            experiments._SPECTRA.clear()
+        result = run_experiment(ExperimentConfig(**config, threads=threads))
+        summary = json.dumps(result.summary, sort_keys=True, default=str)
+        assert (digest(records_jsonl(result)), digest(summary)) == (records_pin, summary_pin)
+    assert pools == ([] if config["kind"] == "thinning-bound" else [2])
+
+
 def _count_solves(monkeypatch) -> list:
     """Route experiments' solves through a wrapper; returns the list of solved matrices."""
     calls = []
@@ -383,7 +425,7 @@ def test_pool_run_fills_the_memo_with_read_only_spectra(monkeypatch, pools):
     calls = _count_solves(monkeypatch)
     assert _outputs(swept) == expected
     assert calls == []
-    spectra = [s for run in experiments._SPECTRA.values() for solved in run for s in solved]
+    spectra = [s for run in experiments._SPECTRA.values() for s in run]
     assert len(spectra) == 4
     for spectrum in spectra:
         with pytest.raises(ValueError):

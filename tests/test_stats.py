@@ -16,7 +16,6 @@ from thinspec.stats import (
     DEFAULT_QUAD,
     FunctionLookupError,
     IndexSet,
-    LimitSpec,
     QuadratureSpec,
     TestFunction,
     _fd_gradient_sq,
@@ -317,32 +316,32 @@ def test_ginibre_variance_rejects_bad_inputs():
 
 
 def test_limit_sampler_pure_gaussian():
-    spec = LimitSpec(sigma2=0.5, mean_f=0j, var_re=0.25, var_im=0.0, cov=0.0, K=0)
-    samples = limit_sampler_fixed_K(spec, function_by_id("re"), 200_000, seed=6).real
+    re = function_by_id("re")
+    samples = limit_sampler_fixed_K(re, 0j, K=0, sigma2=0.5, count=200_000, seed=6).real
     se = samples.std() ** 2 * math.sqrt(2 / samples.size) * 1.5
     assert abs(samples.var() - 0.5) <= 5 * se
-    assert np.all(samples == limit_sampler_fixed_K(spec, function_by_id("re"), 200_000, seed=6).real)
+    again = limit_sampler_fixed_K(re, 0j, K=0, sigma2=0.5, count=200_000, seed=6).real
+    assert np.all(samples == again)
 
 
 def test_limit_sampler_disk_only():
-    spec = LimitSpec(sigma2=0.0, mean_f=0j, var_re=0.25, var_im=0.0, cov=0.0, K=1)
-    samples = limit_sampler_fixed_K(spec, function_by_id("re"), 200_000, seed=7).real
+    re = function_by_id("re")
+    samples = limit_sampler_fixed_K(re, 0j, K=1, sigma2=0.0, count=200_000, seed=7).real
     assert abs(samples.var() - 0.25) <= 0.005
     assert abs(samples.mean()) <= 0.005
 
 
 def test_limit_sampler_variance_additivity():
     # independence of the Gaussian and the disk draws: variances add
-    spec = LimitSpec(sigma2=0.5, mean_f=0j, var_re=0.25, var_im=0.0, cov=0.0, K=1)
-    samples = limit_sampler_fixed_K(spec, function_by_id("re"), 200_000, seed=8).real
+    re = function_by_id("re")
+    samples = limit_sampler_fixed_K(re, 0j, K=1, sigma2=0.5, count=200_000, seed=8).real
     assert abs(samples.var() - 0.75) <= 0.01
 
 
-def test_limit_spec_validation():
-    with pytest.raises(ValueError):
-        LimitSpec(sigma2=-1, mean_f=0j, var_re=0.25, var_im=0.0, cov=0.0, K=0)
-    with pytest.raises(ValueError):
-        LimitSpec(sigma2=0.0, mean_f=0j, var_re=0.01, var_im=0.01, cov=0.5, K=0)
+def test_limit_sampler_validation():
+    for K, sigma2, count in ((0, -1.0, 10), (-1, 0.5, 10), (1, 0.5, 0)):
+        with pytest.raises(ValueError):
+            limit_sampler_fixed_K(function_by_id("re"), 0j, K=K, sigma2=sigma2, count=count, seed=1)
 
 
 def test_ks_two_sample_basics():
