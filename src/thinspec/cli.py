@@ -108,22 +108,22 @@ def _sampled_matrix(args):
 
 
 def _cmd_sample(args) -> int:
-    matrix = _sampled_matrix(args)
-    rows = [
-        (i, j, repr(float(matrix.entries[i, j].real)), repr(float(matrix.entries[i, j].imag)))
-        for i in range(args.n)
-        for j in range(args.n)
-    ]
+    entries = _sampled_matrix(args).entries
+    rows = (  # a generator: the n^2 rows are written as they are made
+        (i, j, repr(re), repr(im))
+        for i, row in enumerate(entries)
+        for j, (re, im) in enumerate(zip(row.real.tolist(), row.imag.tolist()))
+    )
     _write_csv(args.out, ("i", "j", "re", "im"), rows)
     return 0
 
 
 def _cmd_spectrum(args) -> int:
     spectrum = spiral_sort(eigenvalues(_sampled_matrix(args), scale=True))
-    rows = [
+    rows = (
         (idx, repr(float(z.real)), repr(float(z.imag)))
         for idx, z in enumerate(spectrum.values, start=1)
-    ]
+    )
     _write_csv(args.out, ("index", "re", "im"), rows)
     return 0
 
@@ -132,10 +132,10 @@ def _cmd_lattice(args) -> int:
     if args.n < MIN_N:
         raise ConfigError(f"lattice needs --n >= {MIN_N}, got {args.n}")
     grid = lattice(args.n)
-    rows = [
+    rows = (
         (idx, repr(float(z.real)), repr(float(z.imag)), *ring_and_slot(idx))
         for idx, z in enumerate(grid.points, start=1)
-    ]
+    )
     _write_csv(args.out, ("i", "re", "im", "ell", "q"), rows)
     return 0
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +53,28 @@ def test_sample_determinism(tmp_path):
         assert main(["sample", "--ensemble", "complex-gaussian", "--n", "8",
                      "--seed", "5", "--out", str(path)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["sample", "--n", "8", "--seed", "3"], "3f8e0d2bb9a93e2e"),
+    (["spectrum", "--n", "8", "--seed", "3"], "c303bb75dd05701a"),
+    (["lattice", "--n", "20"], "f261ee4deb9489aa"),
+], ids=["sample", "spectrum", "lattice"])
+def test_matrix_csv_bytes_are_pinned(tmp_path, argv, digest):
+    out = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest()[:16] == digest
+
+
+def test_sample_csv_rows_are_written_as_they_are_made(tmp_path):
+    # the 1 MiB matrix and its sampling; a list of all n^2 rows peaked at 15 MiB
+    tracemalloc.start()
+    try:
+        assert main(["sample", "--n", "256", "--out", str(tmp_path / "sample.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
 
 
 @pytest.mark.parametrize("ensemble", ["rademacher", "real-gaussian"])

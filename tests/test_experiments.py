@@ -262,15 +262,18 @@ def test_thinning_bound_overflow_is_an_infinite_bound():
 
 
 def test_thinning_scan_rows_do_not_depend_on_block_size(monkeypatch):
-    # 300 cells: several K per block up to n = 11, one K per block from n = 12 on
-    ns = range(1, 31)
+    # At the default 2^17 cells a scan spans several blocks of K from n = 51 on;
+    # at 2^21 cells, from n = 128 on.  At 300 cells: several K per block up to
+    # n = 11, one K per block from n = 12 on.
+    ns = range(1, 131)
     default_rows = [_thinning_scan_for_n(n) for n in ns]
-    monkeypatch.setattr(experiments, "_SCAN_BLOCK", 300)
-    assert [_thinning_scan_for_n(n) for n in ns] == default_rows
+    for block, sizes in ((1 << 21, ns), (300, range(1, 31))):
+        monkeypatch.setattr(experiments, "_SCAN_BLOCK", block)
+        assert [_thinning_scan_for_n(n) for n in sizes] == default_rows[:len(sizes)]
 
 
 def test_thinning_bound_records_across_k_blocks_are_pinned():
-    # from n = 128 on, a scan spans several blocks of K at the default _SCAN_BLOCK
+    # from n = 51 on, a scan spans several blocks of K at the default _SCAN_BLOCK
     result = run_experiment(ExperimentConfig(kind="thinning-bound", n_max=130))
     digest = hashlib.sha256(records_jsonl(result).encode("utf-8")).hexdigest()
     assert digest == "a03e9231f261f1c42c54443bea80009fb607815511b8059b6dfea915059c137e"
@@ -295,14 +298,15 @@ def test_pool_map_keeps_a_few_tasks_per_worker_ahead_in_run_order():
 
 
 def test_thinning_scan_memory_is_quadratic():
-    # one dense (K, J, j) float array at n = 300 alone is 207 MiB
+    # one dense (K, J, j) float array at n = 300 alone is 207 MiB, and blocks
+    # of 2^21 cells peaked at 45 MiB; blocks of 2^17 cells peak near 3 MiB
     tracemalloc.start()
     try:
         _thinning_scan_for_n(300)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 64 * 2**20
+    assert peak <= 8 * 2**20
 
 
 def test_thinning_bound_run():

@@ -1,9 +1,13 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.optimize import linear_sum_assignment
 
+from thinspec.lattice import MIN_N, lattice
 from thinspec.transport import (
+    _COST_ROWS,
     GridSpec,
     TransportCapError,
     cell_counts,
@@ -62,6 +66,34 @@ def test_w1_exact_errors():
         w1_exact([], [])
     with pytest.raises(TransportCapError):
         w1_exact(np.zeros(11, complex), np.zeros(11, complex), cap=10)
+
+
+@pytest.mark.parametrize("n", [1, _COST_ROWS - 1, _COST_ROWS, _COST_ROWS + 1, 200])
+def test_row_blocked_cost_gives_the_same_matching(n):
+    rng = np.random.default_rng(n)
+    a = random_points(rng, n)
+    # duplicate points: the lattice pins its last points to z = 1
+    b = lattice(n).points if n >= MIN_N else np.ones(n, dtype=complex)
+    result = w1_exact(a, b)  # first, so its cost cannot reuse the reference's memory
+    cost = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert np.array_equal(rows, np.arange(n))
+    assert np.array_equal(result.permutation, cols)
+    assert result.value == float(cost[rows, cols].sum() / n)
+
+
+def test_w1_exact_memory_is_the_cost_matrix_and_one_block():
+    # the whole-matrix complex difference alone was twice the cost matrix
+    n = 512
+    rng = np.random.default_rng(5)
+    a, b = random_points(rng, n), random_points(rng, n)
+    tracemalloc.start()
+    try:
+        w1_exact(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * n * n
 
 
 def test_w1_metric_properties():
