@@ -31,7 +31,6 @@ from .spectral import (
 )
 from .stats import (
     IndexSet,
-    QuadratureSpec,
     TestFunction,
     disk_moments,
     ginibre_variance,

@@ -25,6 +25,7 @@ from .ensembles import (
 from .experiments import (
     CONFIG_FIELDS,
     KINDS,
+    MAX_N,
     ConfigError,
     ExperimentConfig,
     SkipBudgetError,
@@ -102,8 +103,9 @@ def _write_csv(path, fieldnames, rows):
 
 def _sampled_matrix(args):
     """The matrix of `--ensemble`, `--n` and `--seed`; a bad size or seed is a ConfigError."""
-    if args.n < 1 or not 0 <= args.base_seed < 2 ** 128:
-        raise ConfigError(f"need --n >= 1 and 0 <= --seed < 2**128, got {args.n}, {args.base_seed}")
+    if not 1 <= args.n <= MAX_N or not 0 <= args.base_seed < 2 ** 128:
+        raise ConfigError(f"need 1 <= --n <= {MAX_N} and 0 <= --seed < 2**128, "
+                          f"got {args.n}, {args.base_seed}")
     return sample_matrix(AtomDistribution(args.ensemble), args.n, args.base_seed)
 
 

@@ -123,7 +123,6 @@ class ComplexMatrix:
     arithmetic; any complex input is stored as complex128.
     """
 
-    n: int
     entries: np.ndarray  # shape (n, n), float64 if real else complex128, row-major
     seed: int | None = None
     dist_kind: str | None = None
@@ -131,11 +130,15 @@ class ComplexMatrix:
     def __post_init__(self):
         dtype = np.complex128 if np.iscomplexobj(self.entries) else np.float64
         entries = np.ascontiguousarray(self.entries, dtype=dtype)
-        if entries.shape != (self.n, self.n):
-            raise ValueError(f"entries must be {self.n}x{self.n}, got {entries.shape}")
+        if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
+            raise ValueError(f"entries must be a square 2-D array, got shape {entries.shape}")
         if not np.all(np.isfinite(entries.view(np.float64))):
             raise ValueError("matrix entries must be finite")
         object.__setattr__(self, "entries", entries)
+
+    @property
+    def n(self) -> int:
+        return self.entries.shape[0]
 
 
 def atom_moments(dist: AtomDistribution) -> MomentSummary:
@@ -180,4 +183,4 @@ def sample_matrix(dist: AtomDistribution, n: int, seed: int) -> ComplexMatrix:
         raise ValueError(f"n must be >= 1, got {n}")
     rng = make_rng(seed)
     entries = sample_atoms(dist, n * n, rng).reshape(n, n)
-    return ComplexMatrix(n=n, entries=entries, seed=seed, dist_kind=dist.kind)
+    return ComplexMatrix(entries=entries, seed=seed, dist_kind=dist.kind)

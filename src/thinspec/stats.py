@@ -27,7 +27,8 @@ class FunctionLookupError(KeyError):
 class TestFunction:
     """Complex-plane test function.
 
-    `evaluate` must accept complex ndarrays.  Built-ins also carry an exact
+    `evaluate` must accept complex ndarrays; `ginibre_variance` rejects an f
+    whose values have a nonzero imaginary part.  Built-ins also carry an exact
     gradient (d/dx, d/dy) used to validate the finite-difference path.
     """
 
@@ -35,7 +36,6 @@ class TestFunction:
 
     id: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    real_valued: bool = True
     gradient: Callable[[np.ndarray], tuple] | None = None
 
 
@@ -206,25 +206,17 @@ def near_binomial_bound(n: int, k: int, j_size: int, j: int) -> float:
     return prefactor * binom
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Resolution knobs for the disk quadrature and circle Fourier transform."""
-
-    radial_nodes: int = 64
-    angular_nodes: int = 512
-    circle_nodes: int = 1024
-    k_max: int = 256
-    fd_step: float = 1e-4
-    tail_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.radial_nodes < 2 or self.angular_nodes < 4:
-            raise ValueError("quadrature grid too small")
-        if self.circle_nodes <= 2 * self.k_max:
-            raise ValueError("circle_nodes must exceed 2 * k_max (aliasing)")
-
-
-DEFAULT_QUAD = QuadratureSpec()
+# Resolution of the disk quadrature and the circle Fourier transform, read at
+# call time: Gauss-Legendre nodes in r^2 and trapezoid nodes in the angle; FFT
+# nodes on |z| = 1, more than 2 * _K_MAX so no retained frequency aliases; the
+# largest retained |k|; the finite-difference step; and the Fourier-tail level
+# above which `ginibre_variance` warns.
+_RADIAL_NODES = 64
+_ANGULAR_NODES = 512
+_CIRCLE_NODES = 1024
+_K_MAX = 256
+_FD_STEP = 1e-4
+_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -267,15 +259,13 @@ def _moments_on_grid(f: TestFunction, radial_nodes: int, angular_nodes: int):
 
 
 @one_blas_thread()  # the dot products' bytes follow the BLAS thread count
-def disk_moments(f: TestFunction, quad: QuadratureSpec = DEFAULT_QUAD) -> DiskMoments:
+def disk_moments(f: TestFunction) -> DiskMoments:
     """E f(U), Var(Re f), Var(Im f), and Cov for uniform U on the unit disk.
 
     The reported `err` is the change under halving both grid resolutions.
     """
-    fine = _moments_on_grid(f, quad.radial_nodes, quad.angular_nodes)
-    coarse = _moments_on_grid(
-        f, max(2, quad.radial_nodes // 2), max(4, quad.angular_nodes // 2)
-    )
+    fine = _moments_on_grid(f, _RADIAL_NODES, _ANGULAR_NODES)
+    coarse = _moments_on_grid(f, _RADIAL_NODES // 2, _ANGULAR_NODES // 2)
     err = max(
         abs(fine[0] - coarse[0]),
         abs(fine[1] - coarse[1]),
@@ -293,8 +283,8 @@ class VarianceBreakdown:
 
     sigma2 = gradient_term + fourier_term + fourth_moment_term; the
     `fourier_tail` diagnostic is the contribution of the last decade of
-    retained frequencies, and `warning` is set when it exceeds the
-    configured tolerance (truncation suspect).
+    retained frequencies, and `warning` is set when it exceeds _TAIL_TOL
+    (truncation suspect).
     """
 
     sigma2: float
@@ -305,26 +295,25 @@ class VarianceBreakdown:
     warning: str | None = None
 
 
-def _fd_gradient_sq(evaluate, z: np.ndarray, step: float) -> np.ndarray:
-    """|grad f|^2 by central differences with h = step * (1 + |z|)."""
-    h = step * (1.0 + np.abs(z))
+def _fd_gradient_sq(evaluate, z: np.ndarray) -> np.ndarray:
+    """|grad f|^2 by central differences with h = _FD_STEP * (1 + |z|)."""
+    h = _FD_STEP * (1.0 + np.abs(z))
     fx = (np.real(evaluate(z + h)) - np.real(evaluate(z - h))) / (2.0 * h)
     fy = (np.real(evaluate(z + 1j * h)) - np.real(evaluate(z - 1j * h))) / (2.0 * h)
     return fx * fx + fy * fy
 
 
-def _circle_coefficients(evaluate, circle_nodes: int, k_max: int):
+def _circle_coefficients(evaluate, k_max: int):
     """Fourier coefficients of f on |z| = 1 for |k| <= k_max, via FFT."""
-    theta = 2.0 * np.pi * np.arange(circle_nodes) / circle_nodes
+    theta = 2.0 * np.pi * np.arange(_CIRCLE_NODES) / _CIRCLE_NODES
     vals = np.real(evaluate(np.exp(1j * theta)))
-    coeffs = np.fft.fft(vals) / circle_nodes
+    coeffs = np.fft.fft(vals) / _CIRCLE_NODES
     k = np.arange(-k_max, k_max + 1)
-    return k, coeffs[k % circle_nodes]
+    return k, coeffs[k % _CIRCLE_NODES]
 
 
 @one_blas_thread()
-def ginibre_variance(f: TestFunction, moments, real_atom: bool,
-                     quad: QuadratureSpec = DEFAULT_QUAD) -> VarianceBreakdown:
+def ginibre_variance(f: TestFunction, moments, real_atom: bool) -> VarianceBreakdown:
     """Limiting variance of the centered full linear statistic for real f.
 
     Complex-atom case (E[xi^2] = 0):
@@ -332,15 +321,18 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool,
         + (E|xi|^4 - 2) * ((1/pi) int f - fhat(0))^2.
     Real-atom case: same structure with f symmetrized about the real axis,
     doubled first two terms, and fourth-moment factor (E|xi|^4 - 3); the
-    last term keeps the original f.
+    last term keeps the original f.  Raises ValueError when f has a nonzero
+    imaginary part on the disk grid.
     """
-    if not f.real_valued:
-        raise ValueError("the Gaussian-variance formula applies to real-valued f only")
     if not real_atom and abs(moments.second) > 1e-9:
         raise ValueError("complex-atom formula requires E[xi^2] = 0")
 
-    z, w = _disk_grid(quad.radial_nodes, quad.angular_nodes)
-    mean_f = float(np.dot(w, np.real(f.evaluate(z))))  # = (1/pi) int_{|z|<1} f
+    z, w = _disk_grid(_RADIAL_NODES, _ANGULAR_NODES)
+    values = np.asarray(f.evaluate(z))
+    if np.any(np.imag(values)):
+        raise ValueError("the Gaussian-variance formula applies to real-valued f only; "
+                         f"{f.id} has nonzero imaginary parts")
+    mean_f = float(np.dot(w, np.real(values)))  # = (1/pi) int_{|z|<1} f
 
     if real_atom:
         def sym_evaluate(x):
@@ -355,25 +347,21 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool,
         fourth_factor = moments.abs_fourth - 2.0
         spectral_evaluate = f.evaluate
 
-    grad_term = grad_scale * float(
-        np.dot(w, _fd_gradient_sq(spectral_evaluate, z, quad.fd_step))
-    )
+    grad_term = grad_scale * float(np.dot(w, _fd_gradient_sq(spectral_evaluate, z)))
 
-    k, coeffs = _circle_coefficients(spectral_evaluate, quad.circle_nodes, quad.k_max)
+    k, coeffs = _circle_coefficients(spectral_evaluate, _K_MAX)
     energies = np.abs(k) * np.abs(coeffs) ** 2
     fourier_term = fourier_scale * float(energies.sum())
-    tail = float(energies[np.abs(k) > quad.k_max // 10].sum())
+    tail = float(energies[np.abs(k) > _K_MAX // 10].sum())
 
-    _, base_coeffs = _circle_coefficients(f.evaluate, quad.circle_nodes, 0)
+    _, base_coeffs = _circle_coefficients(f.evaluate, 0)
     fhat0 = float(base_coeffs[0].real)
     fourth_term = fourth_factor * (mean_f - fhat0) ** 2
 
     warning = None
-    if tail > quad.tail_tol:
-        warning = (
-            f"fourier tail {tail:.3e} exceeds {quad.tail_tol:.1e}; "
-            "increase k_max or smooth f"
-        )
+    if tail > _TAIL_TOL:
+        warning = (f"fourier tail {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
+                   f"f is too rough for |k| <= {_K_MAX}")
     return VarianceBreakdown(
         sigma2=grad_term + fourier_term + fourth_term,
         gradient_term=grad_term,

@@ -24,7 +24,7 @@ _COST_ROWS = 16
 
 
 class TransportCapError(ValueError):
-    """Instance exceeds the configured size cap of the exact solver."""
+    """Instance exceeds DEFAULT_EXACT_CAP, the size cap of the exact solver."""
 
 
 @dataclass(frozen=True)
@@ -33,15 +33,16 @@ class GridSpec:
 
     bound: float  # C: half-side of the covering square, > 1
     cells_per_axis: int
-    cell_side: float
 
     def __post_init__(self):
         if self.bound <= 1.0:
             raise ValueError("grid bound C must exceed 1")
         if self.cells_per_axis < 1:
             raise ValueError("cells_per_axis must be >= 1")
-        if abs(self.cell_side * self.cells_per_axis - 2.0 * self.bound) > 1e-9:
-            raise ValueError("cell_side * cells_per_axis must equal 2C")
+
+    @property
+    def cell_side(self) -> float:
+        return 2.0 * self.bound / self.cells_per_axis
 
     @property
     def cell_count(self) -> int:
@@ -84,11 +85,11 @@ def _as_points(a) -> np.ndarray:
     return arr
 
 
-def w1_exact(a, b, cap: int = DEFAULT_EXACT_CAP) -> TransportResult:
+def w1_exact(a, b) -> TransportResult:
     """Exact W1 between the uniform empirical measures of a and b.
 
     Solves the assignment problem on the |a_i - b_j| cost matrix; O(n^3)
-    time, capped at `cap` points (default 4096, a few minutes at the cap).
+    time, capped at DEFAULT_EXACT_CAP points (4096, a few minutes at the cap).
     The float64 cost matrix is built _COST_ROWS rows at a time, so memory is
     8n^2 bytes (128 MiB at the cap) plus one block of complex differences.
     """
@@ -98,8 +99,8 @@ def w1_exact(a, b, cap: int = DEFAULT_EXACT_CAP) -> TransportResult:
         raise ValueError(f"point sets must have equal size, got {n} and {b.size}")
     if n == 0:
         raise ValueError("point sets must be nonempty")
-    if n > cap:
-        raise TransportCapError(f"n={n} exceeds exact-solver cap {cap}")
+    if n > DEFAULT_EXACT_CAP:
+        raise TransportCapError(f"n={n} exceeds exact-solver cap {DEFAULT_EXACT_CAP}")
     cost = np.empty((n, n))
     for i in range(0, n, _COST_ROWS):
         np.abs(a[i:i + _COST_ROWS, None] - b, out=cost[i:i + _COST_ROWS])
@@ -181,7 +182,7 @@ def default_grid(n: int, bound: float = 1.25, odd: bool = False) -> GridSpec:
     m = math.ceil(target - 1e-9)  # guard against float fuzz just above an integer
     if odd:
         m |= 1
-    return GridSpec(bound=bound, cells_per_axis=m, cell_side=2.0 * bound / m)
+    return GridSpec(bound=bound, cells_per_axis=m)
 
 
 def disk_points(rng: np.random.Generator, shape) -> np.ndarray:

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thinspec import experiments, spectral
+from thinspec import cli, experiments, spectral
 from thinspec.cli import build_parser, main
 from thinspec.ensembles import AtomDistribution, sample_matrix
 from thinspec.spectral import EigensolverError, spiral_compare
@@ -211,7 +211,11 @@ def test_custom_discrete_ensemble_via_config(tmp_path):
     assert main(["full-clt", "--config", str(cfg), "--out", str(out)]) == 2
 
 
-def test_exit_code_2_on_errors(tmp_path, capsys):
+def test_exit_code_2_on_errors(tmp_path, capsys, monkeypatch):
+    def no_sample(dist, n, seed):
+        raise AssertionError(f"sample_matrix called at n={n}")
+
+    monkeypatch.setattr(cli, "sample_matrix", no_sample)
     assert main(["full-clt", "--config", str(tmp_path / "missing.json")]) == 2
     assert main(["partial-stats", "--n-list", "16", "--k", "99"]) == 2
     assert main(["full-clt", "--n-list", "12", "--f", "unknown-function"]) == 2
@@ -224,6 +228,7 @@ def test_exit_code_2_on_errors(tmp_path, capsys):
     not_utf8 = tmp_path / "not_utf8.json"
     not_utf8.write_bytes(b"\xff\xfe")
     for argv in (["lattice", "--n", "5"], ["sample", "--n", "0"],
+                 ["sample", "--n", "4097"], ["spectrum", "--n", "4097"],
                  ["spectrum", "--n", "4", "--seed", "-1"],
                  ["full-clt", "--config", str(not_json)],
                  ["full-clt", "--config", str(not_utf8)]):

@@ -79,13 +79,16 @@ def test_complex_gaussian_mean_is_clt_small():
 
 def test_matrix_validation():
     with pytest.raises(ValueError):
-        ComplexMatrix(n=2, entries=np.zeros((2, 3), complex))
+        ComplexMatrix(entries=np.zeros((2, 3), complex))
     with pytest.raises(ValueError):
-        ComplexMatrix(n=1, entries=np.array([[np.inf]], complex))
+        ComplexMatrix(entries=np.array([[np.inf]], complex))
     with pytest.raises(ValueError):
-        ComplexMatrix(n=1, entries=np.array([[np.nan]]))
+        ComplexMatrix(entries=np.array([[np.nan]]))
     with pytest.raises(ValueError):
-        ComplexMatrix(n=2, entries=np.zeros((2, 3)))
+        ComplexMatrix(entries=np.zeros((2, 3)))
+    with pytest.raises(ValueError):
+        ComplexMatrix(entries=np.zeros(4))
+    assert ComplexMatrix(entries=np.zeros((3, 3))).n == 3
     with pytest.raises(ValueError):
         sample_matrix(AtomDistribution("rademacher"), 0, seed=1)
 

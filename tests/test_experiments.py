@@ -84,13 +84,20 @@ def test_config_validation():
     dict(kind="full-clt", f_id="nope"),
     dict(kind="partial-fixed-K", f_id="nope"),
     dict(kind="wasserstein-decay", n_list=(64, 4097)),
+    # a run at n = 30000 would draw 14 GB of normals per matrix
+    dict(kind="full-clt", n_list=(4097,)),
+    dict(kind="partial-fixed-K", n_list=(64, 4097)),
+    dict(kind="partial-growing-K", n_list=(4097,)),
+    dict(kind="local-law-cells", n_list=(4097,)),
+    dict(kind="thinning-bound", n_max=4097),
     dict(kind="full-clt", threads=-1),
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
         "k_divisor_nan", "growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
         "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0", "w1_reps_above_cap",
         "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
-        "threads_negative"])
+        "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
+        "local_law_above_cap", "n_max_above_cap", "threads_negative"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
@@ -206,7 +213,7 @@ def test_local_law_cells_do_not_depend_on_the_solve_path(n):
     # ones of a complex solve of the same matrix.
     x = sample_matrix(AtomDistribution("rademacher"), n, seed=n)
     real = eigenvalues(x, scale=True)
-    cast = eigenvalues(ComplexMatrix(n=n, entries=x.entries.astype(complex)), scale=True)
+    cast = eigenvalues(ComplexMatrix(entries=x.entries.astype(complex)), scale=True)
     assert np.any(real.values.imag == 0)
     cfg = ExperimentConfig(kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
                            n_list=(n,))

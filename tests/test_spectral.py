@@ -24,14 +24,14 @@ def _spectrum(values, scaled=True):
 
 
 def test_diagonal_spectrum():
-    m = ComplexMatrix(n=3, entries=np.diag([1.0, 2.0, 3.0]).astype(complex))
+    m = ComplexMatrix(entries=np.diag([1.0, 2.0, 3.0]).astype(complex))
     s = eigenvalues(m, scale=False)
     assert np.allclose(np.sort(s.values.real), [1, 2, 3], atol=1e-12)
     assert np.allclose(s.values.imag, 0, atol=1e-12)
 
 
 def test_rotation_matrix_spectrum():
-    m = ComplexMatrix(n=2, entries=np.array([[0, 1], [-1, 0]], complex))
+    m = ComplexMatrix(entries=np.array([[0, 1], [-1, 0]], complex))
     s = eigenvalues(m, scale=False)
     assert set(np.round(s.values, 12)) == {1j, -1j}
 
@@ -39,7 +39,7 @@ def test_rotation_matrix_spectrum():
 def test_companion_matrix_cube_roots():
     # companion matrix of z^3 - 1; roots are the cube roots of unity
     comp = np.array([[0, 0, 1], [1, 0, 0], [0, 1, 0]], complex)
-    s = eigenvalues(ComplexMatrix(n=3, entries=comp), scale=False)
+    s = eigenvalues(ComplexMatrix(entries=comp), scale=False)
     key = lambda z: (round(z.real, 8), round(z.imag, 8))
     expected = sorted((cmath.exp(2j * cmath.pi * k / 3) for k in range(3)), key=key)
     got = sorted(s.values.tolist(), key=key)
@@ -107,8 +107,8 @@ def test_solver_input_dtype_follows_the_ensemble(monkeypatch, dist, dtype):
     s = eigenvalues(m, scale=True)
     assert seen == [np.dtype(dtype)]
     assert s.values.dtype == np.complex128
-    assert ComplexMatrix(n=8, entries=m.entries.astype(complex)).entries.dtype == np.complex128
-    assert ComplexMatrix(n=1, entries=[[1]]).entries.dtype == np.float64
+    assert ComplexMatrix(entries=m.entries.astype(complex)).entries.dtype == np.complex128
+    assert ComplexMatrix(entries=[[1]]).entries.dtype == np.float64
 
 
 _OPENBLAS = spectral._openblas_threads()
@@ -176,7 +176,7 @@ def test_real_path_matches_the_complex_solve(dist, n):
     m = sample_matrix(dist, n, seed=n)
     assert m.entries.dtype == np.float64
     real = eigenvalues(m, scale=True).values
-    cast = eigenvalues(ComplexMatrix(n=n, entries=m.entries.astype(complex)), scale=True).values
+    cast = eigenvalues(ComplexMatrix(entries=m.entries.astype(complex)), scale=True).values
     assert real.dtype == cast.dtype == np.complex128
     assert np.max(np.abs(_by_position(real) - _by_position(cast))) <= 1e-10
     # Eigenvalues the complex solve puts within rounding of the real axis are
@@ -194,7 +194,7 @@ def test_real_path_matches_the_complex_solve(dist, n):
     ([[1.0, 0.0], [0.0, -1.0]], [1.0, -1.0]),
 ], ids=["n1", "n1_negative", "n2_symmetric", "n2_diagonal"])
 def test_all_real_spectrum_is_complex128(entries, expected):
-    m = ComplexMatrix(n=len(entries), entries=np.array(entries))
+    m = ComplexMatrix(entries=np.array(entries))
     assert m.entries.dtype == np.float64
     for scale in (False, True):
         s = eigenvalues(m, scale=scale)

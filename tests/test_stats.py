@@ -13,10 +13,8 @@ from thinspec.ensembles import AtomDistribution, ComplexMatrix, atom_moments
 from thinspec.spectral import ComplexSpectrum, eigenvalues
 from thinspec.stats import (
     BUILTIN_FUNCTIONS,
-    DEFAULT_QUAD,
     FunctionLookupError,
     IndexSet,
-    QuadratureSpec,
     TestFunction,
     _fd_gradient_sq,
     disk_moments,
@@ -53,7 +51,7 @@ def test_builtin_gradients_match_finite_differences():
     for f in BUILTIN_FUNCTIONS.values():
         fx, fy = f.gradient(z)
         exact = np.asarray(fx, float) ** 2 + np.asarray(fy, float) ** 2
-        fd = _fd_gradient_sq(f.evaluate, z, DEFAULT_QUAD.fd_step)
+        fd = _fd_gradient_sq(f.evaluate, z)
         assert np.allclose(fd, exact, atol=1e-6, rtol=1e-6), f.id
 
 
@@ -76,7 +74,7 @@ def test_abs2_frobenius_identity_on_normal_matrix():
     diag = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
     x = q @ np.diag(diag) @ q.conj().T
-    m = ComplexMatrix(n=n, entries=x)
+    m = ComplexMatrix(entries=x)
     s = eigenvalues(m, scale=True)
     stat = linear_statistic(s, function_by_id("abs2"))
     frob = np.linalg.norm(x, "fro") ** 2 / n
@@ -259,13 +257,13 @@ def test_ginibre_variance_analytic():
     assert out.fourier_term == pytest.approx(0.5, abs=1e-9)
 
 
-def test_ginibre_variance_quadrature_refinement():
+def test_ginibre_variance_quadrature_refinement(monkeypatch):
     cg = atom_moments(AtomDistribution("complex-gaussian"))
-    for quad in (
-        QuadratureSpec(radial_nodes=16, angular_nodes=64, circle_nodes=256, k_max=64),
-        QuadratureSpec(radial_nodes=128, angular_nodes=1024, circle_nodes=2048, k_max=512),
-    ):
-        out = ginibre_variance(function_by_id("re"), cg, real_atom=False, quad=quad)
+    for radial, angular, circle, k_max in ((16, 64, 256, 64), (128, 1024, 2048, 512)):
+        for name, value in (("_RADIAL_NODES", radial), ("_ANGULAR_NODES", angular),
+                            ("_CIRCLE_NODES", circle), ("_K_MAX", k_max)):
+            monkeypatch.setattr(stats, name, value)
+        out = ginibre_variance(function_by_id("re"), cg, real_atom=False)
         assert out.sigma2 == pytest.approx(0.5, abs=1e-6)
 
 
@@ -275,7 +273,7 @@ def test_ginibre_variance_tail_warning_for_rough_function():
     cg = atom_moments(AtomDistribution("complex-gaussian"))
     out = ginibre_variance(sign_re, cg, real_atom=False)
     assert out.warning is not None
-    assert out.fourier_tail > DEFAULT_QUAD.tail_tol
+    assert out.fourier_tail > stats._TAIL_TOL
 
 
 @pytest.mark.skipif(spectral._openblas_threads() is None,
@@ -300,11 +298,11 @@ def test_quadratures_run_on_one_blas_thread_and_restore_the_callers(monkeypatch,
 
 def test_ginibre_variance_rejects_bad_inputs():
     cg = atom_moments(AtomDistribution("complex-gaussian"))
-    complex_f = TestFunction(
-        id="zsquared", evaluate=lambda z: np.asarray(z) ** 2, real_valued=False,
-    )
-    with pytest.raises(ValueError):
-        ginibre_variance(complex_f, cg, real_atom=False)
+    # complex values are found on the grid; no flag has to say so (z^2 gave sigma2 ~ 1.0)
+    complex_f = TestFunction(id="z2", evaluate=lambda z: np.asarray(z) ** 2)
+    for real_atom in (False, True):
+        with pytest.raises(ValueError, match="real-valued"):
+            ginibre_variance(complex_f, cg, real_atom=real_atom)
     # complex-atom formula needs E[xi^2] = 0
     rg = atom_moments(AtomDistribution("real-gaussian"))
     with pytest.raises(ValueError):

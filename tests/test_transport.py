@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment
 
+from thinspec import transport
 from thinspec.lattice import MIN_N, lattice
 from thinspec.transport import (
     _COST_ROWS,
@@ -59,13 +60,17 @@ def test_w1_exact_matches_brute_force():
         assert sorted(result.permutation) == list(range(n))
 
 
-def test_w1_exact_errors():
+def test_w1_exact_errors(monkeypatch):
     with pytest.raises(ValueError):
         w1_exact([0.0], [1.0, 2.0])
     with pytest.raises(ValueError):
         w1_exact([], [])
     with pytest.raises(TransportCapError):
-        w1_exact(np.zeros(11, complex), np.zeros(11, complex), cap=10)
+        w1_exact(np.zeros(4097, complex), np.zeros(4097, complex))
+    monkeypatch.setattr(transport, "DEFAULT_EXACT_CAP", 10)
+    w1_exact(np.zeros(10, complex), np.zeros(10, complex))
+    with pytest.raises(TransportCapError):
+        w1_exact(np.zeros(11, complex), np.zeros(11, complex))
 
 
 @pytest.mark.parametrize("n", [1, _COST_ROWS - 1, _COST_ROWS, _COST_ROWS + 1, 200])
@@ -146,9 +151,9 @@ def test_odd_grid_keeps_the_real_axis_inside_a_row():
 
 def test_grid_spec_validation():
     with pytest.raises(ValueError):
-        GridSpec(bound=1.0, cells_per_axis=4, cell_side=0.5)
+        GridSpec(bound=1.0, cells_per_axis=4)
     with pytest.raises(ValueError):
-        GridSpec(bound=2.0, cells_per_axis=4, cell_side=0.5)  # 0.5*4 != 4
+        GridSpec(bound=2.0, cells_per_axis=0)
 
 
 def test_grid_pairing_identical_points():
