@@ -69,12 +69,14 @@ class AtomDistribution:
             raise DistributionError("probabilities must be nonnegative")
         if abs(math.fsum(probs) - 1.0) > _PARAM_TOL:
             raise DistributionError("probabilities must sum to 1 within 1e-12")
-        mean = sum(p * a for p, a in zip(probs, atoms))
-        if abs(mean) > _PARAM_TOL:
-            raise DistributionError(f"atom mean must be 0, got {mean}")
-        var = math.fsum(p * abs(a) ** 2 for p, a in zip(probs, atoms))
-        if abs(var - 1.0) > _PARAM_TOL:
-            raise DistributionError(f"atom E|xi|^2 must be 1, got {var}")
+        try:
+            moments = atom_moments(self)
+        except OverflowError:  # |a|^2 or |a|^4 past float64's range
+            raise DistributionError("atom moments must be finite in float64") from None
+        if abs(moments.mean) > _PARAM_TOL:
+            raise DistributionError(f"atom mean must be 0, got {moments.mean}")
+        if abs(moments.abs_second - 1.0) > _PARAM_TOL:
+            raise DistributionError(f"atom E|xi|^2 must be 1, got {moments.abs_second}")
 
     @property
     def is_real(self) -> bool:

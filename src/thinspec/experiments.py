@@ -97,6 +97,13 @@ class SkipBudgetError(RuntimeError):
     """More replicates were skipped for solver failures than the budget allows."""
 
 
+def _integer(value, name: str) -> int:
+    """A Python or NumPy integer as an int; a bool, float or str is a ConfigError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Single JSON-expressible description of an experiment run."""
@@ -119,7 +126,11 @@ class ExperimentConfig:
     n_max: int = 60  # thinning-bound only
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
+        object.__setattr__(self, "n_list", tuple(_integer(n, "n_list entry") for n in self.n_list))
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int" or f.type == "int | None" and value is not None:
+                object.__setattr__(self, f.name, _integer(value, f.name))
         n_top = max(self.n_list, default=1)
         for invalid, message in (
             (self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"),
@@ -357,7 +368,7 @@ def _replicate_records(config: ExperimentConfig) -> list:
                 spectra = _pool_map(pool, _solve, solves, workers)
             outcomes = (_measured(*args, list(islice(spectra, per_replicate)))
                         for args in replicates)
-        by_n = {n: _size_records(config, outcomes, kept) for n in sizes}
+        by_n = {n: _size_records(config, n, outcomes, kept) for n in sizes}
         if kept is not None:
             for spectrum in (s for s in kept if not isinstance(s, str)):
                 spectrum.values.flags.writeable = False  # a pool's spectra arrive writeable
@@ -368,8 +379,8 @@ def _replicate_records(config: ExperimentConfig) -> list:
             pool.shutdown(cancel_futures=True)
 
 
-def _size_records(config, outcomes, kept) -> list:
-    """One size's records from the run's outcome stream; its solves go on `kept` if a list."""
+def _size_records(config, n, outcomes, kept) -> list:
+    """Size n's records from the run's outcome stream; its solves go on `kept` if a list."""
     records = []
     for replicate in range(config.replicates):
         record, solved = next(outcomes)
@@ -382,7 +393,7 @@ def _size_records(config, outcomes, kept) -> list:
     skipped = config.replicates - len(records)
     if skipped > MAX_SKIP_FRACTION * config.replicates:
         raise SkipBudgetError(
-            f"{skipped}/{config.replicates} replicates skipped; exceeding the "
+            f"n={n}: {skipped}/{config.replicates} replicates skipped; exceeding the "
             f"{MAX_SKIP_FRACTION:.0%} budget"
         )
     return records

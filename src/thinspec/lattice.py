@@ -41,11 +41,10 @@ class PredictedLattice:
 
 
 def lattice_params(n: int) -> LatticeParams:
-    """Compute (sqrt_ceil, boundary_count) for n >= 9."""
+    """(sqrt_ceil, boundary_count) for n >= 9; sqrt_ceil is n's ring under `ring_and_slot`."""
     if n < MIN_N:
         raise ValueError(f"lattice construction requires n >= {MIN_N}, got {n}")
-    s = math.isqrt(n)
-    sqrt_ceil = s if s * s == n else s + 1
+    sqrt_ceil = ring_and_slot(n)[0]
     boundary_count = n - (sqrt_ceil - 2) ** 2
     return LatticeParams(n=n, sqrt_ceil=sqrt_ceil, boundary_count=boundary_count)
 
@@ -78,21 +77,11 @@ def predicted_location(i: int, n: int) -> complex:
 
 
 def lattice(n: int) -> PredictedLattice:
-    """All n predicted locations, index order 1..n."""
+    """All n predicted locations, index order 1..n; rings and slots from `ring_and_slot`."""
     params = lattice_params(n)
-    idx = np.arange(1, n + 1, dtype=np.int64)
-    ring = _ceil_sqrt_exact(idx)
-    slot = idx - (ring - 1) ** 2
+    ring, slot = np.array([ring_and_slot(i) for i in range(1, n + 1)], dtype=np.int64).T
     radius = (ring - 1) / math.sqrt(n)
     angle = 2.0 * np.pi * slot / (2 * ring - 1)
     points = radius * np.exp(1j * angle)
     points[params.formula_count:] = 1.0
     return PredictedLattice(params=params, points=points)
-
-
-def _ceil_sqrt_exact(values: np.ndarray) -> np.ndarray:
-    """Exact integer ceil(sqrt(v)) for int64 arrays (float sqrt + fixup)."""
-    root = np.floor(np.sqrt(values.astype(np.float64))).astype(np.int64)
-    root = np.where(root * root > values, root - 1, root)
-    root = np.where((root + 1) * (root + 1) <= values, root + 1, root)
-    return root + (root * root < values)

@@ -161,26 +161,10 @@ def spiral_compare(w: complex, z: complex, n: int) -> int:
     return 0
 
 
-def _spiral_order(values: np.ndarray, n: int) -> np.ndarray:
-    """Stable argsort of `values` under the spiral order (vectorized keys)."""
-    mod = np.abs(values)
-    sqrt_n = math.sqrt(n)
-    t = mod * sqrt_n
-    nearest = np.round(t)
-    snap = np.abs(mod - nearest / sqrt_n) <= _SNAP_TOL
-    floor_key = np.where(snap, nearest, np.floor(t))
-    arg = arg_in_2pi(values)
-    nonzero = (values != 0).astype(np.int8)
-    zero_mask = ~nonzero.astype(bool)
-    floor_key = np.where(zero_mask, 0.0, floor_key)
-    arg = np.where(zero_mask, 0.0, arg)
-    mod = np.where(zero_mask, 0.0, mod)
-    return np.lexsort((mod, arg, floor_key, nonzero))
-
-
 def spiral_sort(s: ComplexSpectrum) -> ComplexSpectrum:
-    """Spectrum re-ordered by the spiral order; stable on full-key ties."""
-    order = _spiral_order(s.values, s.n)
+    """Spectrum re-ordered by `spiral_key`; stable on full-key ties."""
+    values = s.values.tolist()
+    order = sorted(range(s.n), key=lambda i: spiral_key(values[i], s.n))
     return ComplexSpectrum(values=s.values[order], scaled=s.scaled)
 
 

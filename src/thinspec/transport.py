@@ -85,6 +85,16 @@ def _as_points(a) -> np.ndarray:
     return arr
 
 
+def _as_pair(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """`a` and `b` as point sets of one nonempty size."""
+    a, b = _as_points(a), _as_points(b)
+    if a.size != b.size:
+        raise ValueError(f"point sets must have equal size, got {a.size} and {b.size}")
+    if a.size == 0:
+        raise ValueError("point sets must be nonempty")
+    return a, b
+
+
 def w1_exact(a, b) -> TransportResult:
     """Exact W1 between the uniform empirical measures of a and b.
 
@@ -93,12 +103,8 @@ def w1_exact(a, b) -> TransportResult:
     The float64 cost matrix is built _COST_ROWS rows at a time, so memory is
     8n^2 bytes (128 MiB at the cap) plus one block of complex differences.
     """
-    a, b = _as_points(a), _as_points(b)
+    a, b = _as_pair(a, b)
     n = a.size
-    if n != b.size:
-        raise ValueError(f"point sets must have equal size, got {n} and {b.size}")
-    if n == 0:
-        raise ValueError("point sets must be nonempty")
     if n > DEFAULT_EXACT_CAP:
         raise TransportCapError(f"n={n} exceeds exact-solver cap {DEFAULT_EXACT_CAP}")
     cost = np.empty((n, n))
@@ -120,12 +126,8 @@ def grid_pairing(a, b, grid: GridSpec) -> TransportResult:
     real cell (leftover pairs and overflow-cell pairs).  The reported value
     always dominates `w1_exact` on the same inputs.
     """
-    a, b = _as_points(a), _as_points(b)
+    a, b = _as_pair(a, b)
     n = a.size
-    if n != b.size:
-        raise ValueError(f"point sets must have equal size, got {n} and {b.size}")
-    if n == 0:
-        raise ValueError("point sets must be nonempty")
     cells_a = grid.cell_indices(a)
     cells_b = grid.cell_indices(b)
     buckets_a, buckets_b = defaultdict(list), defaultdict(list)

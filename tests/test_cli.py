@@ -59,7 +59,14 @@ def test_sample_determinism(tmp_path):
     (["sample", "--n", "8", "--seed", "3"], "3f8e0d2bb9a93e2e"),
     (["spectrum", "--n", "8", "--seed", "3"], "c303bb75dd05701a"),
     (["lattice", "--n", "20"], "f261ee4deb9489aa"),
-], ids=["sample", "spectrum", "lattice"])
+    # real ensembles: exactly-real eigenvalues (arg = 2*pi) and conjugate pairs tie the floor key
+    (["spectrum", "--ensemble", "rademacher", "--n", "256", "--seed", "3"], "5623410e588894ee"),
+    (["spectrum", "--ensemble", "real-gaussian", "--n", "256", "--seed", "4"], "b8f4ae5f4eb70fdd"),
+    (["spectrum", "--n", "512", "--seed", "5"], "9fbc174fb5ad07f4"),
+    (["lattice", "--n", "1000"], "794e692d53ee8eb0"),
+    (["lattice", "--n", "4096"], "83c791379c9f0600"),
+], ids=["sample", "spectrum", "lattice", "spectrum_rademacher_256", "spectrum_real_gaussian_256",
+        "spectrum_512", "lattice_1000", "lattice_4096"])
 def test_matrix_csv_bytes_are_pinned(tmp_path, argv, digest):
     out = tmp_path / "out.csv"
     assert main([*argv, "--out", str(out)]) == 0
@@ -259,7 +266,7 @@ def test_exit_code_4_on_skip_budget(monkeypatch, capsys):
     monkeypatch.setattr(experiments, "eigenvalues", failing_solve)
     assert main(["full-clt", "--n-list", "12", "--reps", "3"]) == 4
     err = capsys.readouterr().err
-    assert err.startswith("error: 3/3 replicates skipped")
+    assert err.startswith("error: n=12: 3/3 replicates skipped")
 
 
 def test_exit_code_3_on_assert_failure(tmp_path, capsys):

@@ -44,6 +44,8 @@ def test_custom_discrete_moments():
         ((2.0, -2.0), (0.5, 0.5)),  # E|xi|^2 != 1
         ((1.0,), (-1.0,)),  # negative probability
         ((), ()),  # empty support
+        ((1e100, -1e100), (0.5, 0.5)),  # E|xi|^4 overflows float64
+        ((1e200, -1e200), (0.5, 0.5)),  # E|xi|^2 overflows float64
     ],
 )
 def test_custom_discrete_rejects_bad_parameters(atoms, probs):

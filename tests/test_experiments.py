@@ -91,13 +91,25 @@ def test_config_validation():
     dict(kind="local-law-cells", n_list=(4097,)),
     dict(kind="thinning-bound", n_max=4097),
     dict(kind="full-clt", threads=-1),
+    # a value that is no integer used to run: n = 16 or 1, a seed from "True", 1 replicate
+    dict(kind="full-clt", n_list=(16.9,)),
+    dict(kind="full-clt", n_list=(True,)),
+    dict(kind="full-clt", base_seed=True),
+    dict(kind="full-clt", base_seed=1.5),
+    dict(kind="full-clt", replicates=True),
+    dict(kind="partial-fixed-K", k=2.0),
+    dict(kind="wasserstein-decay", w1_reps="2"),
+    dict(kind="thinning-bound", n_max=60.0),
+    dict(kind="full-clt", threads=True),
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
         "k_divisor_nan", "growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
         "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0", "w1_reps_above_cap",
         "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
         "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
-        "local_law_above_cap", "n_max_above_cap", "threads_negative"])
+        "local_law_above_cap", "n_max_above_cap", "threads_negative",
+        "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
+        "k_float", "w1_reps_str", "n_max_float", "threads_bool"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
@@ -117,6 +129,15 @@ def test_config_roundtrip_and_hash():
     # threads are an execution detail, not part of the experiment identity
     threaded = ExperimentConfig.from_dict({**cfg.to_dict(), "threads": 4})
     assert config_hash(cfg) == config_hash(threaded)
+
+
+def test_numpy_integers_hash_as_python_ints():
+    numpy_ints = ExperimentConfig(kind="partial-fixed-K", n_list=(np.int64(16), np.int32(32)),
+                                  k=np.int64(2), replicates=np.int64(7), base_seed=np.uint8(3))
+    python_ints = ExperimentConfig(kind="partial-fixed-K", n_list=(16, 32), k=2, replicates=7,
+                                   base_seed=3)
+    assert config_hash(numpy_ints) == config_hash(python_ints)
+    assert type(numpy_ints.replicates) is int and type(numpy_ints.n_list[0]) is int
 
 
 def test_config_rejects_unknown_keys():
@@ -585,7 +606,7 @@ def test_pooled_run_stops_at_the_first_size_over_the_skip_budget(
     monkeypatch.setattr(experiments, "eigenvalues", fail)
     config = ExperimentConfig(kind=kind, n_list=(8, 12), replicates=replicates, threads=threads)
     with caplog.at_level(logging.WARNING, logger=experiments.__name__):
-        with pytest.raises(SkipBudgetError, match=f"{replicates}/{replicates} replicates"):
+        with pytest.raises(SkipBudgetError, match=f"^n=8: {replicates}/{replicates} replicates"):
             run_experiment(config)
     assert pools == [threads]
     assert [r.getMessage() for r in caplog.records] == [
