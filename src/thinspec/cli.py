@@ -36,6 +36,7 @@ from .experiments import (
 from .lattice import MIN_N, lattice, ring_and_slot
 from .spectral import eigenvalues, spiral_sort
 from .stats import FunctionLookupError, ginibre_variance, function_by_id
+from .transport import W1_METHODS
 
 
 def _int_list(text: str) -> list:
@@ -59,8 +60,7 @@ _FLAGS = {
     "--trials": dict(dest="replicates", metavar="TRIALS", type=int,
                      help="trials per size (default 100)"),
     "--reps": dict(dest="replicates", metavar="REPS", type=int, help="replicates (default 100)"),
-    "--method": dict(choices=("sample", "lattice"),
-                     help="disk-distance estimator (default sample)"),
+    "--method": dict(choices=W1_METHODS, help="disk-distance estimator (default sample)"),
     "--w1-reps": dict(type=int, help="disk samples averaged per trial (default 1)"),
     "--records": dict(help="also write records JSONL here"),
     "--k": dict(type=int, help="fixed removal count (default 1)"),
@@ -101,12 +101,18 @@ def _write_csv(path, fieldnames, rows):
         writer.writerows(rows)
 
 
+def _size(args, least: int = 1) -> int:
+    """`--n`, which must lie in least..MAX_N; outside it is a ConfigError."""
+    if not least <= args.n <= MAX_N:
+        raise ConfigError(f"{args.command} needs {least} <= --n <= {MAX_N}, got {args.n}")
+    return args.n
+
+
 def _sampled_matrix(args):
     """The matrix of `--ensemble`, `--n` and `--seed`; a bad size or seed is a ConfigError."""
-    if not 1 <= args.n <= MAX_N or not 0 <= args.base_seed < 2 ** 128:
-        raise ConfigError(f"need 1 <= --n <= {MAX_N} and 0 <= --seed < 2**128, "
-                          f"got {args.n}, {args.base_seed}")
-    return sample_matrix(AtomDistribution(args.ensemble), args.n, args.base_seed)
+    if not 0 <= args.base_seed < 2 ** 128:
+        raise ConfigError(f"{args.command} needs 0 <= --seed < 2**128, got {args.base_seed}")
+    return sample_matrix(AtomDistribution(args.ensemble), _size(args), args.base_seed)
 
 
 def _cmd_sample(args) -> int:
@@ -131,9 +137,7 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    if args.n < MIN_N:
-        raise ConfigError(f"lattice needs --n >= {MIN_N}, got {args.n}")
-    grid = lattice(args.n)
+    grid = lattice(_size(args, MIN_N))
     rows = (
         (idx, repr(float(z.real)), repr(float(z.imag)), *ring_and_slot(idx))
         for idx, z in enumerate(grid.points, start=1)

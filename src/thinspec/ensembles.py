@@ -49,6 +49,15 @@ class AtomDistribution:
     probs: tuple = field(default=())
 
     def __post_init__(self):
+        # Each a Python or NumPy number, complex only for an atom; a bool or str is none.
+        for name, numbers, convert in (("atoms", (int, float, complex, np.number), complex),
+                                       ("probs", (int, float, np.integer, np.floating), float)):
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise DistributionError(f"{name} must be a list or tuple, got {values!r}")
+            if not all(isinstance(v, numbers) and type(v) is not bool for v in values):
+                raise DistributionError(f"{name} {list(values)!r} must be numbers")
+            object.__setattr__(self, name, tuple(map(convert, values)))
         if self.kind in BUILTIN_KINDS:
             if self.atoms or self.probs:
                 raise DistributionError(
@@ -57,17 +66,13 @@ class AtomDistribution:
             return
         if self.kind != "custom-discrete":
             raise DistributionError(f"unknown distribution kind {self.kind!r}")
-        atoms = tuple(complex(a) for a in self.atoms)
-        probs = tuple(float(p) for p in self.probs)
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "probs", probs)
-        if len(atoms) == 0 or len(atoms) != len(probs):
+        if len(self.atoms) == 0 or len(self.atoms) != len(self.probs):
             raise DistributionError("custom-discrete needs matching nonempty atoms/probs")
-        if not all(map(cmath.isfinite, atoms + probs)):
+        if not all(map(cmath.isfinite, self.atoms + self.probs)):
             raise DistributionError("atoms and probabilities must be finite")
-        if any(p < 0 for p in probs):
+        if any(p < 0 for p in self.probs):
             raise DistributionError("probabilities must be nonnegative")
-        if abs(math.fsum(probs) - 1.0) > _PARAM_TOL:
+        if abs(math.fsum(self.probs) - 1.0) > _PARAM_TOL:
             raise DistributionError("probabilities must sum to 1 within 1e-12")
         try:
             moments = atom_moments(self)
@@ -102,11 +107,10 @@ class AtomDistribution:
             raise DistributionError(
                 f"unknown ensemble field(s) {unknown}; known: ['atoms', 'kind', 'probs']"
             )
-        atoms = tuple(_atom_from_json(a) for a in d.get("atoms", ()))
-        probs = tuple(d.get("probs", ()))
-        if not all(type(p) in (int, float) for p in probs):  # a bool is no number
-            raise DistributionError(f"probs {list(probs)!r} must be numbers")
-        return cls(kind=d.get("kind"), atoms=atoms, probs=probs)
+        atoms = d.get("atoms", ())
+        if isinstance(atoms, list):
+            atoms = [_atom_from_json(a) for a in atoms]
+        return cls(kind=d.get("kind"), atoms=atoms, probs=d.get("probs", ()))
 
 
 def _atom_from_json(a) -> complex:

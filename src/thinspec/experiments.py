@@ -58,7 +58,7 @@ from .stats import (
     sample_index_set,
     function_by_id,
 )
-from .transport import DEFAULT_EXACT_CAP, cell_counts, default_grid, w1_to_disk
+from .transport import DEFAULT_EXACT_CAP, W1_METHODS, cell_counts, default_grid, w1_to_disk
 
 log = logging.getLogger(__name__)
 
@@ -75,17 +75,23 @@ MAX_W1_REPS = 1 << 16
 MAX_CELLS_PER_AXIS = 1000
 MAX_THREADS = 256
 
-# By field annotation: the JSON type a config-file value must have, in words
-# and as a test (exact, so a bool is no int), and its conversion to the field.
-_JSON_TYPES = {
-    "str": ("a string", lambda v: type(v) is str, str),
-    "int": ("an integer", lambda v: type(v) is int, int),
-    "int | None": ("an integer or null", lambda v: v is None or type(v) is int, lambda v: v),
-    "float": ("a number", lambda v: type(v) in (int, float), float),
-    "bool": ("a boolean", lambda v: type(v) is bool, bool),
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# By field annotation: what a config value must be, in words and as a test (a
+# bool is no number), and its conversion to the stored field.
+_FIELD_TYPES = {
+    "str": ("a string", lambda v: isinstance(v, str), str),
+    "int": ("an integer", _is_integer, int),
+    "int | None": ("an integer or null", lambda v: v is None or _is_integer(v),
+                   lambda v: v if v is None else int(v)),
+    "float": ("a number", lambda v: _is_integer(v) or isinstance(v, (float, np.floating)), float),
+    "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
     "tuple": ("a list of integers",
-              lambda v: type(v) is list and all(type(n) is int for n in v), tuple),
-    "AtomDistribution": ("an object", lambda v: type(v) is dict, AtomDistribution.from_dict),
+              lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v)),
+              lambda v: tuple(map(int, v))),
+    "AtomDistribution": ("an object", lambda v: isinstance(v, AtomDistribution), lambda v: v),
 }
 
 
@@ -95,13 +101,6 @@ class ConfigError(ValueError):
 
 class SkipBudgetError(RuntimeError):
     """More replicates were skipped for solver failures than the budget allows."""
-
-
-def _integer(value, name: str) -> int:
-    """A Python or NumPy integer as an int; a bool, float or str is a ConfigError."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -126,11 +125,12 @@ class ExperimentConfig:
     n_max: int = 60  # thinning-bound only
 
     def __post_init__(self):
-        object.__setattr__(self, "n_list", tuple(_integer(n, "n_list entry") for n in self.n_list))
-        for f in fields(self):
+        for key, f in CONFIG_FIELDS.items():
+            expected, check, convert = _FIELD_TYPES[f.type]
             value = getattr(self, f.name)
-            if f.type == "int" or f.type == "int | None" and value is not None:
-                object.__setattr__(self, f.name, _integer(value, f.name))
+            if not check(value):
+                raise ConfigError(f"config field {key!r} must be {expected}, got {value!r}")
+            object.__setattr__(self, f.name, convert(value))
         n_top = max(self.n_list, default=1)
         for invalid, message in (
             (self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"),
@@ -149,8 +149,7 @@ class ExperimentConfig:
              and 2 * self.grid_bound * n_top ** 0.25 > MAX_CELLS_PER_AXIS,
              f"grid_bound {self.grid_bound} gives more than {MAX_CELLS_PER_AXIS} cells "
              f"per axis at n={n_top}"),
-            (self.method not in ("sample", "lattice"),
-             f"unknown wasserstein method {self.method!r}"),
+            (self.method not in W1_METHODS, f"unknown wasserstein method {self.method!r}"),
             (self.f_id not in BUILTIN_FUNCTIONS,
              f"unknown test function {self.f_id!r}; known: {sorted(BUILTIN_FUNCTIONS)}"),
             (self.kind == "thinning-bound" and not 1 <= self.n_max <= MAX_N,
@@ -190,24 +189,18 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        """Inverse of `to_dict`, also accepting `threads`; other keys or JSON types are errors."""
+        """Inverse of `to_dict`, also accepting `threads`; other keys are errors."""
         unknown = sorted(set(d) - set(CONFIG_FIELDS))
         if unknown:
             raise ConfigError(f"unknown config field(s) {unknown}; known: {sorted(CONFIG_FIELDS)}")
         if "kind" not in d:
             raise ConfigError("missing config field: 'kind'")
-        kwargs = {}
-        for key, value in d.items():
-            expected, check, convert = _JSON_TYPES[CONFIG_FIELDS[key].type]
-            message = f"config field {key!r} must be {expected}, got {value!r}"
-            if not check(value):
-                raise ConfigError(message)
+        kwargs = {CONFIG_FIELDS[key].name: value for key, value in d.items()}
+        if isinstance(kwargs.get("ensemble"), dict):
             try:
-                kwargs[CONFIG_FIELDS[key].name] = convert(value)
+                kwargs["ensemble"] = AtomDistribution.from_dict(kwargs["ensemble"])
             except DistributionError as exc:
-                raise ConfigError(f"config field {key!r}: {exc}") from exc
-            except (TypeError, ValueError) as exc:  # a malformed ensemble object
-                raise ConfigError(message) from exc
+                raise ConfigError(f"config field 'ensemble': {exc}") from exc
         return cls(**kwargs)
 
 

@@ -17,6 +17,8 @@ from scipy.optimize import linear_sum_assignment
 from .seeding import derive_seed64, make_rng
 
 DEFAULT_EXACT_CAP = 4096
+# The estimators of `w1_to_disk`.
+W1_METHODS = ("sample", "lattice")
 # Rows of w1_exact's cost matrix built per step.  A step's complex128
 # differences take 16 * _COST_ROWS * n bytes (1 MiB at the cap), a fraction
 # 2 * _COST_ROWS / n of the float64 cost matrix.

@@ -35,6 +35,14 @@ def test_lattice_csv(tmp_path):
     assert float(rows[2][1]) == pytest.approx(-0.125)
 
 
+def test_lattice_size_is_capped(tmp_path, capsys):
+    # an uncapped n used to be written, its memory growing with n
+    out = tmp_path / "lattice.csv"
+    assert main(["lattice", "--n", "4097", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: lattice needs 9 <= --n <= 4096, got 4097\n"
+    assert not out.exists()
+
+
 def test_spectrum_csv_is_spiral_sorted(tmp_path):
     out = tmp_path / "spec.csv"
     assert main(["spectrum", "--ensemble", "rademacher", "--n", "32", "--seed", "3",
@@ -305,9 +313,11 @@ def test_exit_code_2_on_zero_replicates(tmp_path, capsys, argv):
      "'ensemble': probs ['0.5', '0.5'] must be numbers"),
     ("ensemble", {"kind": "custom-discrete", "atoms": [1, 0], "probs": [True, False]},
      "'ensemble': probs [True, False] must be numbers"),
+    ("ensemble", {"kind": "custom-discrete", "atoms": 5, "probs": [1.0]}, "'ensemble'"),
+    ("ensemble", {"kind": "custom-discrete", "atoms": [1], "probs": 5}, "'ensemble'"),
 ], ids=["n_list", "ensemble", "n_list_string", "bool_string", "int_float", "k_string",
         "n_list_null", "ensemble_atom", "ensemble_extra_key", "ensemble_probs_string",
-        "ensemble_probs_bool"])
+        "ensemble_probs_bool", "ensemble_atoms_int", "ensemble_probs_int"])
 def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, expected):
     cfg = tmp_path / "bad_type.json"
     cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [4], "replicates": 2, field: value}))

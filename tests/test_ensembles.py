@@ -46,6 +46,12 @@ def test_custom_discrete_moments():
         ((), ()),  # empty support
         ((1e100, -1e100), (0.5, 0.5)),  # E|xi|^4 overflows float64
         ((1e200, -1e200), (0.5, 0.5)),  # E|xi|^2 overflows float64
+        # a value that is no number, or no list or tuple of them
+        ((1, -1), ("0.5", "0.5")),
+        ((7, 1, -1), (False, 0.5, 0.5)),
+        (("1", "-1"), (0.5, 0.5)),
+        (5, (1.0,)),
+        ((1,), 5),
     ],
 )
 def test_custom_discrete_rejects_bad_parameters(atoms, probs):

@@ -101,6 +101,17 @@ def test_config_validation():
     dict(kind="wasserstein-decay", w1_reps="2"),
     dict(kind="thinning-bound", n_max=60.0),
     dict(kind="full-clt", threads=True),
+    # a float, bool, str or ensemble field of another type used to raise TypeError or
+    # AttributeError, or to run: k_divisor True as 1, allow_large_k "no" as true
+    dict(kind="local-law-cells", grid_bound="2"),
+    dict(kind="local-law-cells", grid_bound=None),
+    dict(kind="full-clt", n_list=64),
+    dict(kind="full-clt", ensemble="rademacher"),
+    dict(kind="full-clt", ensemble={"kind": "rademacher"}),
+    dict(kind="full-clt", f_id=["re"]),
+    dict(kind=["full-clt"]),
+    dict(kind="partial-growing-K", k_divisor=True),
+    dict(kind="partial-growing-K", n_list=(16,), k=3, allow_large_k="no"),
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
         "k_divisor_nan", "growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
@@ -109,7 +120,9 @@ def test_config_validation():
         "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
         "local_law_above_cap", "n_max_above_cap", "threads_negative",
         "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
-        "k_float", "w1_reps_str", "n_max_float", "threads_bool"])
+        "k_float", "w1_reps_str", "n_max_float", "threads_bool",
+        "grid_bound_str", "grid_bound_none", "n_list_int", "ensemble_str", "ensemble_dict",
+        "f_list", "kind_list", "k_divisor_bool", "allow_large_k_str"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
@@ -138,6 +151,21 @@ def test_numpy_integers_hash_as_python_ints():
                                    base_seed=3)
     assert config_hash(numpy_ints) == config_hash(python_ints)
     assert type(numpy_ints.replicates) is int and type(numpy_ints.n_list[0]) is int
+
+
+def test_float_fields_hash_as_python_floats():
+    ints = ExperimentConfig(kind="partial-growing-K", k_divisor=2)
+    assert config_hash(ints) == config_hash(ExperimentConfig(kind="partial-growing-K",
+                                                             k_divisor=2.0))
+    float32 = ExperimentConfig(kind="local-law-cells", grid_bound=np.float32(1.5))
+    assert config_hash(float32) == config_hash(ExperimentConfig(kind="local-law-cells",
+                                                                grid_bound=1.5))
+    assert type(ints.k_divisor) is float and type(float32.grid_bound) is float
+
+
+def test_every_config_annotation_has_a_type_entry():
+    annotations = {f.type for f in dataclasses.fields(ExperimentConfig)}
+    assert annotations <= set(experiments._FIELD_TYPES)
 
 
 def test_config_rejects_unknown_keys():
