@@ -13,7 +13,11 @@ BEFORE_DIR and AFTER_DIR are checkouts (for example made with `git clone` or
 `git archive`); the metrics and their directions come from BEFORE_DIR's
 BENCHMARK.json.  `gain_claimable` applies the benchmark's rule: at least 10
 pairs, AFTER wins at least 9 in 10 of them and the medians differ by more
-than BEFORE's interquartile range.
+than BEFORE's interquartile range.  `verdict` checks the metric's relative
+`bound` from the same file: "worse" when AFTER's median is worse than
+BEFORE's by more than the bound; "unresolved" when BEFORE's interquartile
+range is wider than the bound, unless every AFTER run beats every BEFORE run;
+"within bound" otherwise.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ def _spread(values: list) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def summarize(pairs: list, directions: dict) -> dict:
-    """Per metric: each side's median and quartiles, AFTER's wins and the claim rule."""
+def summarize(pairs: list, directions: dict, bounds: dict) -> dict:
+    """Per metric: each side's median and quartiles, AFTER's wins, the claim rule and verdict."""
     out = {}
     for name, better in directions.items():
         values = {side: [p[side]["metrics"][name] for p in pairs] for side in SIDES}
@@ -82,9 +86,13 @@ def summarize(pairs: list, directions: dict) -> dict:
         spread = {side: _spread(values[side]) for side in SIDES}
         gap = sign * (spread["before"]["median"] - spread["after"]["median"])
         iqr = spread["before"]["q3"] - spread["before"]["q1"]
+        bound = bounds[name] * abs(spread["before"]["median"])
+        sweep = min(sign * v for v in values["before"]) > max(sign * v for v in values["after"])
         out[name] = {
             "better": better, **spread, "after_wins": wins, "pairs": len(pairs),
             "gain_claimable": len(pairs) >= 10 and wins >= 0.9 * len(pairs) and gap > iqr,
+            "verdict": "worse" if -gap > bound else "unresolved" if iqr > bound and not sweep
+            else "within bound",
         }
     return out
 
@@ -103,6 +111,7 @@ def main(argv=None) -> int:
     checkouts = dict(zip(SIDES, (args.before.resolve(), args.after.resolve())))
     spec = json.loads((checkouts["before"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     directions = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 
     pairs = []
     for i, seed in enumerate(args.seeds):
@@ -115,7 +124,7 @@ def main(argv=None) -> int:
             f"{name} {pair['before']['metrics'][name]:.4g} -> {pair['after']['metrics'][name]:.4g}"
             for name in directions), flush=True)
 
-    metrics = summarize(pairs, directions)
+    metrics = summarize(pairs, directions, bounds)
     report = {
         "workload": args.workload,
         "seconds": args.seconds,
@@ -133,7 +142,8 @@ def main(argv=None) -> int:
         print(f"{name:14s} before {m['before']['median']:.4g} [{m['before']['q1']:.4g}, "
               f"{m['before']['q3']:.4g}]  after {m['after']['median']:.4g} "
               f"[{m['after']['q1']:.4g}, {m['after']['q3']:.4g}]  after won "
-              f"{m['after_wins']}/{m['pairs']}  gain claimable: {m['gain_claimable']}")
+              f"{m['after_wins']}/{m['pairs']}  gain claimable: {m['gain_claimable']}  "
+              f"verdict: {m['verdict']}")
     return 0
 
 

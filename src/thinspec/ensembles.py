@@ -24,6 +24,14 @@ class DistributionError(ValueError):
     """Atom-distribution parameters violate the moment contract."""
 
 
+def as_float64(value, convert=float):
+    """`convert(value)`, reading an integer past float64's range as infinite."""
+    try:
+        return convert(value)
+    except OverflowError:
+        return convert(math.inf if value > 0 else -math.inf)
+
+
 @dataclass(frozen=True)
 class MomentSummary:
     """Exact analytic moments of an atom distribution."""
@@ -57,7 +65,7 @@ class AtomDistribution:
                 raise DistributionError(f"{name} must be a list or tuple, got {values!r}")
             if not all(isinstance(v, numbers) and type(v) is not bool for v in values):
                 raise DistributionError(f"{name} {list(values)!r} must be numbers")
-            object.__setattr__(self, name, tuple(map(convert, values)))
+            object.__setattr__(self, name, tuple(as_float64(v, convert) for v in values))
         if self.kind in BUILTIN_KINDS:
             if self.atoms or self.probs:
                 raise DistributionError(

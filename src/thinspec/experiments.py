@@ -43,7 +43,7 @@ from typing import Callable
 import numpy as np
 from scipy.special import gammaln
 
-from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
+from .ensembles import AtomDistribution, DistributionError, as_float64, atom_moments, sample_matrix
 from .lattice import MIN_N
 from .seeding import derive_seed64
 from .spectral import EigensolverError, eigenvalues, pin_blas_to_one_thread, spectral_radius
@@ -86,7 +86,8 @@ _FIELD_TYPES = {
     "int": ("an integer", _is_integer, int),
     "int | None": ("an integer or null", lambda v: v is None or _is_integer(v),
                    lambda v: v if v is None else int(v)),
-    "float": ("a number", lambda v: _is_integer(v) or isinstance(v, (float, np.floating)), float),
+    "float": ("a number", lambda v: _is_integer(v) or isinstance(v, (float, np.floating)),
+              as_float64),
     "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
     "tuple": ("a list of integers",
               lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v)),

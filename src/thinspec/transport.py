@@ -8,7 +8,6 @@ cell-by-cell coupling whose cost always dominates the exact value.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,64 +111,57 @@ def w1_exact(a, b) -> TransportResult:
     cost = np.empty((n, n))
     for i in range(0, n, _COST_ROWS):
         np.abs(a[i:i + _COST_ROWS, None] - b, out=cost[i:i + _COST_ROWS])
-    rows, cols = linear_sum_assignment(cost)
-    perm = np.empty(n, dtype=np.int64)
-    perm[rows] = cols
-    value = float(cost[np.arange(n), perm].sum() / n)
+    rows, perm = linear_sum_assignment(cost)  # rows is arange(n)
+    value = float(cost[rows, perm].sum() / n)
     return TransportResult(permutation=perm, value=value)
 
 
 def grid_pairing(a, b, grid: GridSpec) -> TransportResult:
     """Cell-by-cell coupling of a to b on `grid`.
 
-    Within each cell the first min(count_a, count_b) points pair in
-    ascending index order; leftovers pair in ascending index order across
-    the whole set.  An index is bad when its pair is not co-located in a
-    real cell (leftover pairs and overflow-cell pairs).  The reported value
-    always dominates `w1_exact` on the same inputs.
+    A point's rank is its place among its cell's points in index order.  In
+    each cell the points of rank below min(count_a, count_b) pair by rank;
+    the leftovers pair in ascending index order across the whole set.  An
+    index is bad when its pair is not co-located in a real cell (leftover
+    pairs and overflow-cell pairs).  The reported value always dominates
+    `w1_exact` on the same inputs.
     """
     a, b = _as_pair(a, b)
     n = a.size
-    cells_a = grid.cell_indices(a)
-    cells_b = grid.cell_indices(b)
-    buckets_a, buckets_b = defaultdict(list), defaultdict(list)
-    for k, c in enumerate(cells_a):
-        buckets_a[int(c)].append(k)
-    for k, c in enumerate(cells_b):
-        buckets_b[int(c)].append(k)
-
-    perm = np.full(n, -1, dtype=np.int64)
-    paired_b = np.zeros(n, dtype=bool)
-    bad = np.zeros(n, dtype=bool)
-    per_cell = []
-    overflow = grid.cell_count
-    for cell in range(overflow + 1):
-        ia, ib = buckets_a.get(cell, []), buckets_b.get(cell, [])
-        per_cell.append((len(ia), len(ib)))
-        k = min(len(ia), len(ib))
-        for src, dst in zip(ia[:k], ib[:k]):
-            perm[src] = dst
-            paired_b[dst] = True
-            if cell == overflow:
-                bad[src] = True
-    leftover_a = np.flatnonzero(perm == -1)
-    leftover_b = np.flatnonzero(~paired_b)
+    cells_a, cells_b = grid.cell_indices(a), grid.cell_indices(b)
+    counts_a, counts_b = _occupancy(cells_a, grid), _occupancy(cells_b, grid)
+    pairs = np.minimum(counts_a, counts_b)
+    in_cell_a, leftover_a = _split_by_rank(cells_a, counts_a, pairs)
+    in_cell_b, leftover_b = _split_by_rank(cells_b, counts_b, pairs)
+    perm = np.empty(n, dtype=np.int64)
+    perm[in_cell_a] = in_cell_b
     perm[leftover_a] = leftover_b
-    bad[leftover_a] = True
 
     value = float(np.abs(a - b[perm]).sum() / n)
     return TransportResult(
         permutation=perm,
         value=value,
-        bad_count=int(bad.sum()),
-        per_cell_counts=tuple(per_cell),
+        bad_count=int(n - pairs[:-1].sum()),
+        per_cell_counts=tuple(zip(counts_a.tolist(), counts_b.tolist())),
     )
+
+
+def _split_by_rank(cells, counts, pairs) -> tuple[np.ndarray, np.ndarray]:
+    """Indices of rank below their cell's `pairs`, by cell then rank; the rest ascending."""
+    order = np.argsort(cells, kind="stable")
+    sorted_cells = cells[order]
+    rank = np.arange(cells.size) - (np.cumsum(counts) - counts)[sorted_cells]
+    in_cell = rank < pairs[sorted_cells]
+    return order[in_cell], np.sort(order[~in_cell])
+
+
+def _occupancy(cells, grid: GridSpec) -> np.ndarray:
+    return np.bincount(cells, minlength=grid.cell_count + 1)
 
 
 def cell_counts(points, grid: GridSpec) -> np.ndarray:
     """Occupancy of every grid cell; the last entry is the overflow cell."""
-    cells = grid.cell_indices(_as_points(points))
-    return np.bincount(cells, minlength=grid.cell_count + 1)
+    return _occupancy(grid.cell_indices(_as_points(points)), grid)
 
 
 def default_grid(n: int, bound: float = 1.25, odd: bool = False) -> GridSpec:

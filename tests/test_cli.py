@@ -327,6 +327,21 @@ def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, 
     assert expected in err
 
 
+@pytest.mark.parametrize("config, expected", [
+    ({"kind": "full-clt", "k_divisor": 10**400}, "error: k_divisor must be positive and finite"),
+    ({"kind": "full-clt", "grid_bound": 10**400}, "error: grid_bound must be finite and exceed 1"),
+    ({"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [1, -1],
+                                       "probs": [10**400, 0.5]}},
+     "error: config field 'ensemble': atoms and probabilities must be finite"),
+], ids=["k_divisor", "grid_bound", "ensemble_probs"])
+def test_exit_code_2_on_an_integer_past_float64(tmp_path, capsys, config, expected):
+    # a 401-digit integer literal used to end in an OverflowError traceback
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({**config, "n_list": [4], "replicates": 2}))
+    assert main(["full-clt", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(expected)
+
+
 # Each (subcommand, flag) pair that no subcommand code reads: a usage error.
 REMOVED_FLAGS = [
     ("sample", "--config", "c.json"), ("sample", "--threads", "2"),

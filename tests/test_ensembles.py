@@ -52,6 +52,10 @@ def test_custom_discrete_moments():
         (("1", "-1"), (0.5, 0.5)),
         (5, (1.0,)),
         ((1,), 5),
+        # an integer past float64's range, which used to raise OverflowError
+        ((10**400, -1.0), (0.5, 0.5)),
+        ((-10**400, 1), (0.5, 0.5)),
+        ((1.0, -1.0), (10**400, 0.5)),
     ],
 )
 def test_custom_discrete_rejects_bad_parameters(atoms, probs):

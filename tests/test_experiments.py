@@ -112,6 +112,10 @@ def test_config_validation():
     dict(kind=["full-clt"]),
     dict(kind="partial-growing-K", k_divisor=True),
     dict(kind="partial-growing-K", n_list=(16,), k=3, allow_large_k="no"),
+    # an integer past float64's range used to raise OverflowError
+    dict(kind="partial-growing-K", k_divisor=10**400),
+    dict(kind="local-law-cells", grid_bound=10**400),
+    dict(kind="local-law-cells", grid_bound=-10**400),
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
         "k_divisor_nan", "growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
@@ -122,7 +126,8 @@ def test_config_validation():
         "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
         "k_float", "w1_reps_str", "n_max_float", "threads_bool",
         "grid_bound_str", "grid_bound_none", "n_list_int", "ensemble_str", "ensemble_dict",
-        "f_list", "kind_list", "k_divisor_bool", "allow_large_k_str"])
+        "f_list", "kind_list", "k_divisor_bool", "allow_large_k_str",
+        "k_divisor_huge_int", "grid_bound_huge_int", "grid_bound_huge_negative_int"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)

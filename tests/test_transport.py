@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import tracemalloc
 
@@ -222,6 +223,73 @@ def test_grid_pairing_bookkeeping():
     # bad pairs are exactly the leftovers here (nothing in the overflow cell)
     assert result.per_cell_counts[-1] == (0, 0)
     assert result.bad_count == leftover
+
+
+def _coupling_digest(result):
+    """SHA-256 prefix of every grid_pairing output: permutation bytes, value, counts."""
+    assert result.permutation.dtype == np.int64
+    digest = hashlib.sha256(result.permutation.tobytes())
+    digest.update(repr((result.value, result.bad_count, result.per_cell_counts)).encode())
+    return digest.hexdigest()[:16]
+
+
+def _coupling_inputs(case):
+    rng = np.random.default_rng(sum(map(ord, case)))
+    pts = lambda n, scale: random_points(rng, n, scale)  # noqa: E731
+    if case == "n1_apart":
+        return [0.3 + 0.2j], [-0.9 - 0.9j], default_grid(1)
+    if case == "duplicates":  # each point four times, b a shuffled near-copy
+        a = np.repeat(pts(5, 0.5), 4)
+        return a, rng.permutation(a) + 0.01, default_grid(20)
+    if case == "lattice_pins":  # b's last points all sit at z = 1
+        return pts(64, 0.6), lattice(64).points, default_grid(64, odd=True)
+    if case == "overflow":  # many points of both sets outside the grid
+        return pts(50, 1.5), pts(50, 1.5), default_grid(50, 1.1)
+    if case == "unequal":  # a crowds the middle cells, b spreads and shifts
+        return pts(120, 0.2), pts(120, 0.9) + 0.3, GridSpec(bound=1.7, cells_per_axis=9)
+    assert case == "one_cell"
+    return pts(299, 1.0), pts(299, 1.0), GridSpec(bound=1.25, cells_per_axis=1)
+
+
+# To hold across versions of grid_pairing: n=1, duplicate points, points in
+# the overflow cell, empty cells and cells with unequal counts.
+COUPLING_PINS = {
+    "n1_apart": "ca6eebeddb14c8c0",
+    "duplicates": "ab8a072a10f72cc4",
+    "lattice_pins": "10c4e174048078a0",
+    "overflow": "023f645c4dbaf9bc",
+    "unequal": "2d61a94963a46426",
+    "one_cell": "02b2966169ab11d2",
+}
+
+
+@pytest.mark.parametrize("case", COUPLING_PINS)
+def test_grid_pairing_outputs_are_pinned(case):
+    a, b, grid = _coupling_inputs(case)
+    result = grid_pairing(a, b, grid)
+    assert all(type(x) is int for pair in result.per_cell_counts for x in pair)
+    assert _coupling_digest(result) == COUPLING_PINS[case]
+
+
+@pytest.mark.parametrize("case", COUPLING_PINS)
+def test_grid_pairing_pairs_in_cell_by_index_order(case):
+    a, b, grid = _coupling_inputs(case)
+    result = grid_pairing(a, b, grid)
+    perm, cells_a, cells_b = result.permutation, grid.cell_indices(a), grid.cell_indices(b)
+    in_cell = cells_a == cells_b[perm]
+    assert np.array_equal(np.sort(perm), np.arange(perm.size))
+    # every cell pairs as many points as both sets have there
+    pairs = np.bincount(cells_a[in_cell], minlength=grid.cell_count + 1)
+    assert pairs.tolist() == [min(na, nb) for na, nb in result.per_cell_counts]
+    for cell in np.unique(cells_a[in_cell]):
+        src = np.flatnonzero(in_cell & (cells_a == cell))
+        # the first points of each set in this cell, in ascending index order
+        assert np.array_equal(src, np.flatnonzero(cells_a == cell)[:src.size])
+        assert np.array_equal(perm[src], np.flatnonzero(cells_b == cell)[:src.size])
+    # the rest pair in ascending index order on both sides
+    assert np.all(np.diff(perm[~in_cell]) > 0)
+    overflow = cells_a == grid.cell_count
+    assert result.bad_count == np.count_nonzero(~in_cell | overflow)
 
 
 def test_cell_counts_total():
