@@ -41,6 +41,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
 from .ensembles import AtomDistribution, DistributionError, as_float64, atom_moments, sample_matrix
@@ -132,7 +133,8 @@ class ExperimentConfig:
             if not check(value):
                 raise ConfigError(f"config field {key!r} must be {expected}, got {value!r}")
             object.__setattr__(self, f.name, convert(value))
-        n_top = max(self.n_list, default=1)
+        # clamped to 1..MAX_N + 1, so that n^(1/4) of an invalid size is real and finite
+        n_top = min(max((*self.n_list, 1)), MAX_N + 1)
         for invalid, message in (
             (self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"),
             (not self.n_list or min(self.n_list) < 1 or n_top > MAX_N,
@@ -146,8 +148,10 @@ class ExperimentConfig:
              f"k_divisor must be positive and finite, with n^(1/4)/k_divisor finite "
              f"at n={n_top}"),
             (not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"),
-            (self.kind == "local-law-cells"
-             and 2 * self.grid_bound * n_top ** 0.25 > MAX_CELLS_PER_AXIS,
+            (self.kind == "local-law-cells" and not (
+                1 < self.grid_bound <= MAX_CELLS_PER_AXIS  # so default_grid takes it
+                and default_grid(n_top, self.grid_bound, odd=True).cells_per_axis
+                <= MAX_CELLS_PER_AXIS),
              f"grid_bound {self.grid_bound} gives more than {MAX_CELLS_PER_AXIS} cells "
              f"per axis at n={n_top}"),
             (self.method not in W1_METHODS, f"unknown wasserstein method {self.method!r}"),
@@ -577,61 +581,54 @@ def _cells_row(config, n, rows):
     }
 
 
-# Most (K, J, j) cells, feasible or not, that one K block of the thinning scan
-# spans (a block holds one K at least).  At 2^17 cells each of a block's arrays
-# takes about 1 MiB, which keeps the scan's working set near the cache: blocks
-# of 2^16 to 2^18 cells scanned n <= 120 in the same time, while 2^21 took
-# about 1.5 times as long and peaked at 46 MiB at n = 400, against 4.8 MiB.
-_SCAN_BLOCK = 1 << 17
-
-
 def _thinning_scan_for_n(n: int):
     """Worst pmf/bound ratio over all feasible (K, J, j) at fixed n.
 
-    Only feasible triples are evaluated (elsewhere pmf = 0, which neither
-    violates the bound nor holds the worst ratio), in C order and in blocks
-    of K spanning at most _SCAN_BLOCK cells, so memory is O(n^2 + block).
-    The feasible j of each (K, J) are one run, max(0, K-J) <= j <= min(K, n-J),
-    so the triples are built run by run; p = 1 - J/n and its logs are per J.
-    At K = 1 the pmf equals the binomial pmf, so all 2n feasible cells have
-    ratio exp(-1/n) in exact arithmetic, and for every n <= 200 that is the
-    worst; rounding decides which of those cells the record names.
+    At each |J| = s the feasible cells are the rectangle 0 <= j <= n - s,
+    0 <= K - j <= s, less the K = 0 corner, so the scan takes one 2-D slice
+    [j, K - j] per s (elsewhere pmf = 0, which neither violates the bound nor
+    holds the worst ratio) and its memory is O(n^2).  Factors of K alone
+    (log C(n, K), the prefactor, log K!) are read through a [j, K - j] -> K
+    view of their vector, and log C(K, j) is one [j, K - j] table, sliced
+    per s.  At s = 0 and s = n (p = 1 or 0) log q or log p is taken as 0,
+    so the binomial is exp(0) = 1, a point mass at the only feasible j.
+    Ties keep the first cell in (K, J, j) order.  At K = 1 the pmf equals
+    the binomial pmf, so all 2n feasible cells have ratio exp(-1/n) in exact
+    arithmetic, and for every n <= 200 that is the worst; rounding decides
+    which of those cells the record names.
     """
     w = n + 1
     a = np.arange(w)
     lg = gammaln(a + 1)
-    lc = ((lg[:, None] - lg) - lg[np.abs(a[:, None] - a)]).ravel()  # log C(a, b) at a*w + b, b <= a
-    kf = np.arange(1, n + 1, dtype=np.float64)
+    lc = (lg[:, None] - lg) - lg[np.abs(a[:, None] - a)]  # log C(a, b) at [a, b], b <= a
     # An overflowed prefactor is an infinite bound, except where the
     # binomial factor is 0: there the bound is 0, not inf * 0.
     with np.errstate(over="ignore"):
-        prefactor = np.exp((kf * kf / n) / np.sqrt(1.0 - (kf - 1.0) / n))
+        prefactor = np.exp((a * a / n) / np.sqrt(1.0 - (a - 1.0) / n))
     p = 1.0 - a / n
-    with np.errstate(divide="ignore"):
-        log_p, log_q = np.log(p), np.log1p(-p)
-    point = (a == 0) | (a == n)  # p = 1 or 0: a point mass at the only feasible j (K or 0)
-    step = max(1, _SCAN_BLOCK // w ** 2)
-    violations, worst = 0, None
-    for k0 in range(1, n + 1, step):
-        ks = np.arange(k0, min(k0 + step, n + 1))[:, None]
-        lo = np.maximum(ks - a, 0)
-        runs = (np.minimum(ks, n - a) - lo + 1).ravel()
-        k = np.repeat(ks.ravel(), runs.reshape(len(ks), w).sum(axis=1))
-        j_size = np.repeat(np.tile(a, len(ks)), runs)
-        j = np.repeat(lo.ravel() - (np.cumsum(runs) - runs), runs) + np.arange(len(k))
-        pmf = np.exp((lc[(n - j_size) * w + j] + lc[j_size * w + (k - j)]) - lc[n * w + k])
-        with np.errstate(invalid="ignore"):
-            log_binom = lc[k * w + j] + j * log_p[j_size] + (k - j) * log_q[j_size]
-        binom = np.where(point[j_size], 1.0, np.exp(log_binom))
-        bound = np.multiply(prefactor[k - 1], binom, out=np.zeros_like(binom), where=binom > 0)
+    log_p = np.log(p, out=np.zeros(w), where=p > 0)  # 0 at the point masses p = 0 and 1,
+    log_q = np.log1p(-p, out=np.zeros(w), where=p < 1)  # so the binomial is exp(0) = 1
+    # [j, K - j] -> v[K]; the zero padding only fills cells with K > n, which no slice reads
+    lc_n_k, prefactor_k, lg_k = (sliding_window_view(np.pad(v, (0, n)), w)
+                                 for v in (lc[n], prefactor, lg))
+    lc_k_j = (lg_k - lg[:, None]) - lg  # log C(K, j) at [j, K - j], as in lc
+    violations, worst = 0, (math.inf,)  # worst: the least (-ratio, K, s, j) so far
+    for s in range(w):
+        cut = np.s_[:w - s, :s + 1]
+        j, m = a[:w - s, None], a[:s + 1]
+        pmf = np.exp((lc[n - s, :w - s, None] + lc[s, :s + 1]) - lc_n_k[cut])
+        pmf[0, 0] = 0.0  # K = 0 removes nothing
+        binom = np.exp(lc_k_j[cut] + j * log_p[s] + m * log_q[s])
+        bound = np.multiply(prefactor_k[cut], binom, out=np.zeros_like(binom), where=binom > 0)
         violations += int(np.count_nonzero(pmf > bound * (1 + 1e-12)))
-        mask = pmf > 0
-        ratio = np.where(mask, pmf / np.where(mask, bound, 1.0), 0.0)
-        i = int(np.argmax(ratio))
-        if worst is None or ratio[i] > worst["worst_ratio"]:  # ties keep the first, as argmax
-            worst = {"worst_ratio": float(ratio[i]), "k": int(k[i]),
-                     "j_size": int(j_size[i]), "j": int(j[i])}
-    return {"n": n, **worst, "violations": violations}
+        ratio = np.divide(pmf, bound, out=np.zeros_like(pmf), where=pmf > 0)
+        top = ratio.max()
+        if -top <= worst[0]:  # this slice ties or beats the worst so far
+            top_j, top_m = np.nonzero(ratio == top)
+            i = np.argmin(top_j + top_m)  # the least K, then the least j
+            worst = min(worst, (-top, top_j[i] + top_m[i], s, top_j[i]))
+    return {"n": n, "worst_ratio": float(-worst[0]), "k": int(worst[1]),
+            "j_size": worst[2], "j": int(worst[3]), "violations": violations}
 
 
 def _summarize_thinning(config, sizes):

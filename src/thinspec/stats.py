@@ -22,6 +22,8 @@ from .transport import disk_points
 class FunctionLookupError(KeyError):
     """Unknown test-function id."""
 
+    __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
+
 
 @dataclass(frozen=True)
 class TestFunction:

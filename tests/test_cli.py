@@ -191,6 +191,14 @@ def test_variance_output(capsys):
     assert "sigma2=1" in capsys.readouterr().out
 
 
+def test_variance_unknown_function_message_is_unquoted(capsys):
+    # a KeyError's str() is the repr of its message, quotes included
+    assert main(["variance", "--f", "bogus"]) == 2
+    assert capsys.readouterr().err == (
+        "error: unknown test function 'bogus'; known: "
+        "['abs2', 'const_1', 'im', 're', 'repow_2', 'repow_3']\n")
+
+
 def test_config_file_merging(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "full-clt", "n_list": [12], "replicates": 2,

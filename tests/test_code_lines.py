@@ -1,4 +1,5 @@
 import importlib.util
+import subprocess
 from pathlib import Path
 
 _SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "code_lines.py"
@@ -41,3 +42,30 @@ def test_code_lines_skips_docstrings_comments_and_blanks(tmp_path, capsys):
     sample.write_text(SAMPLE, encoding="utf-8")
     assert script.main([str(sample), str(sample)]) == 0
     assert capsys.readouterr().out.split() == ["8", "sample.py", "8", "sample.py", "16", "total"]
+
+
+def test_against_compares_each_module_with_a_git_commit(tmp_path, monkeypatch, capsys):
+    script = _load_script()
+    package = tmp_path / "src" / "thinspec"
+    package.mkdir(parents=True)
+
+    def git(*args):
+        subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                        *args], check=True, capture_output=True)
+
+    git("init", "-q")
+    (package / "kept.py").write_text("a = 1\nb = 2\n", encoding="utf-8")
+    (package / "gone.py").write_text("c = 3\n", encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "first")
+    (package / "kept.py").write_text("a = 1\n", encoding="utf-8")
+    (package / "gone.py").unlink()
+    (package / "new.py").write_text(SAMPLE, encoding="utf-8")
+    monkeypatch.setattr(script, "PACKAGE", package)
+    assert script.main(["--against", "HEAD"]) == 0
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert lines == [["at", "ref", "now", "diff"],
+                     ["1", "0", "-1", "gone.py"],
+                     ["2", "1", "-1", "kept.py"],
+                     ["0", "8", "+8", "new.py"],
+                     ["3", "9", "+6", "total"]]

@@ -28,6 +28,7 @@ from thinspec.experiments import (
     run_experiment,
 )
 from thinspec.stats import hypergeom_removal_pmf, near_binomial_bound
+from thinspec.transport import default_grid
 
 
 def test_derive_seed_properties():
@@ -79,6 +80,9 @@ def test_config_validation():
     dict(kind="local-law-cells", grid_bound=math.nan),
     dict(kind="local-law-cells", grid_bound=1e308),
     dict(kind="local-law-cells", grid_bound=1e4, n_list=(1024,)),
+    # 2 C n^(1/4) = 999.2 and 1000 cells per axis, which odd rounding makes 1001
+    dict(kind="local-law-cells", grid_bound=249.8, n_list=(16,)),
+    dict(kind="local-law-cells", grid_bound=250.0, n_list=(16,)),
     dict(kind="wasserstein-decay", w1_reps=0),
     dict(kind="wasserstein-decay", w1_reps=experiments.MAX_W1_REPS + 1),
     dict(kind="full-clt", f_id="nope"),
@@ -116,10 +120,14 @@ def test_config_validation():
     dict(kind="partial-growing-K", k_divisor=10**400),
     dict(kind="local-law-cells", grid_bound=10**400),
     dict(kind="local-law-cells", grid_bound=-10**400),
+    # a size whose n^(1/4) is complex or past float64 used to raise TypeError or OverflowError
+    dict(kind="full-clt", n_list=(-1,)),
+    dict(kind="local-law-cells", n_list=(10**400,)),
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
         "k_divisor_nan", "growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
-        "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0", "w1_reps_above_cap",
+        "grid_bound_1e308", "grid_bound_1e4_n1024", "grid_bound_249.8_n16",
+        "grid_bound_250_n16", "w1_reps_0", "w1_reps_above_cap",
         "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
         "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
         "local_law_above_cap", "n_max_above_cap", "threads_negative",
@@ -127,10 +135,16 @@ def test_config_validation():
         "k_float", "w1_reps_str", "n_max_float", "threads_bool",
         "grid_bound_str", "grid_bound_none", "n_list_int", "ensemble_str", "ensemble_dict",
         "f_list", "kind_list", "k_divisor_bool", "allow_large_k_str",
-        "k_divisor_huge_int", "grid_bound_huge_int", "grid_bound_huge_negative_int"])
+        "k_divisor_huge_int", "grid_bound_huge_int", "grid_bound_huge_negative_int",
+        "n_list_negative", "n_list_huge_int"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+def test_local_law_cap_counts_cells_after_odd_rounding():
+    cfg = ExperimentConfig(kind="local-law-cells", n_list=(16,), grid_bound=249.75)
+    assert default_grid(16, cfg.grid_bound, odd=True).cells_per_axis == 999
 
 
 def test_growing_k_rule():
@@ -322,19 +336,14 @@ def test_thinning_bound_overflow_is_an_infinite_bound():
     assert 0.0 < row["worst_ratio"] <= 1.0
 
 
-def test_thinning_scan_rows_do_not_depend_on_block_size(monkeypatch):
-    # At the default 2^17 cells a scan spans several blocks of K from n = 51 on;
-    # at 2^21 cells, from n = 128 on.  At 300 cells: several K per block up to
-    # n = 11, one K per block from n = 12 on.
-    ns = range(1, 131)
-    default_rows = [_thinning_scan_for_n(n) for n in ns]
-    for block, sizes in ((1 << 21, ns), (300, range(1, 31))):
-        monkeypatch.setattr(experiments, "_SCAN_BLOCK", block)
-        assert [_thinning_scan_for_n(n) for n in sizes] == default_rows[:len(sizes)]
+def test_thinning_scan_rows_past_n_130_are_pinned():
+    rows = [_thinning_scan_for_n(n) for n in (150, 200, 257, 300)]
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == "63e3977ccc660d06d1b6a193cd737dcb2365742964301b663ea6410c30c58723"
 
 
 def test_thinning_bound_records_across_k_blocks_are_pinned():
-    # from n = 51 on, a scan spans several blocks of K at the default _SCAN_BLOCK
+    # the records of n = 1..130; test_thinning_scan_rows_past_n_130_are_pinned pins larger n
     result = run_experiment(ExperimentConfig(kind="thinning-bound", n_max=130))
     digest = hashlib.sha256(records_jsonl(result).encode("utf-8")).hexdigest()
     assert digest == "a03e9231f261f1c42c54443bea80009fb607815511b8059b6dfea915059c137e"
@@ -359,8 +368,8 @@ def test_pool_map_keeps_a_few_tasks_per_worker_ahead_in_run_order():
 
 
 def test_thinning_scan_memory_is_quadratic():
-    # one dense (K, J, j) float array at n = 300 alone is 207 MiB, and blocks
-    # of 2^21 cells peaked at 45 MiB; blocks of 2^17 cells peak near 3 MiB
+    # one dense (K, J, j) float array at n = 300 alone is 207 MiB; the scan's
+    # per-|J| slices and (n+1)^2 tables peak near 2.5 MiB
     tracemalloc.start()
     try:
         _thinning_scan_for_n(300)

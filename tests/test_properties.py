@@ -1,13 +1,16 @@
 """Property tests of the paper's structural claims: the spiral order is a total
-order, the grid coupling dominates exact W1, and kept + removed = full."""
+order, the grid and spiral couplings dominate exact W1, and kept + removed = full."""
 
 import cmath
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
-from thinspec.spectral import ComplexSpectrum, spiral_compare, spiral_sort
+from thinspec.ensembles import AtomDistribution, sample_matrix
+from thinspec.lattice import lattice
+from thinspec.spectral import ComplexSpectrum, eigenvalues, spiral_compare, spiral_sort
 from thinspec.stats import (
     BUILTIN_FUNCTIONS,
     IndexSet,
@@ -15,7 +18,7 @@ from thinspec.stats import (
     linear_statistic,
     partial_statistic,
 )
-from thinspec.transport import default_grid, grid_pairing, w1_exact
+from thinspec.transport import default_grid, grid_pairing, uniform_disk_sample, w1_exact
 
 angles = st.floats(0.0, 2.0 * math.pi)
 
@@ -57,6 +60,22 @@ def test_grid_coupling_dominates_exact_w1(data):
     coupling = grid_pairing(a, b, default_grid(n))
     assert sorted(coupling.permutation.tolist()) == list(range(n))
     assert coupling.value >= w1_exact(a, b).value * (1 - 1e-12)
+
+
+@pytest.mark.parametrize("n", [9, 64, 256])
+@pytest.mark.parametrize("source", ["ginibre", "disk"])
+def test_spiral_coupling_dominates_exact_w1(source, n):
+    # the i-th point in spiral order paired with the i-th predicted location
+    points = lattice(n).points
+    for seed in range(3):
+        if source == "ginibre":
+            values = eigenvalues(sample_matrix(AtomDistribution("complex-gaussian"), n, seed),
+                                 scale=True).values
+        else:
+            values = uniform_disk_sample(n, seed)
+        spiral = spiral_sort(ComplexSpectrum(values, scaled=True)).values
+        coupling = np.mean(np.abs(spiral - points))
+        assert coupling >= w1_exact(values, points).value * (1 - 1e-12)
 
 
 @given(st.data())
