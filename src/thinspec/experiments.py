@@ -133,52 +133,52 @@ class ExperimentConfig:
             if not check(value):
                 raise ConfigError(f"config field {key!r} must be {expected}, got {value!r}")
             object.__setattr__(self, f.name, convert(value))
-        # clamped to 1..MAX_N + 1, so that n^(1/4) of an invalid size is real and finite
-        n_top = min(max((*self.n_list, 1)), MAX_N + 1)
-        for invalid, message in (
-            (self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"),
-            (not self.n_list or min(self.n_list) < 1 or n_top > MAX_N,
-             f"n_list must be a nonempty list of integers in 1..{MAX_N}"),
-            (self.replicates < 1, "replicates must be >= 1"),
-            (self.base_seed < 0, "base_seed must be nonnegative"),
-            (not 0 <= self.threads <= MAX_THREADS,
-             f"threads must be in 0..{MAX_THREADS} (0: one per usable core)"),
-            (not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"),
-            (not 0 < self.k_divisor < math.inf or math.isinf(n_top ** 0.25 / self.k_divisor),
-             f"k_divisor must be positive and finite, with n^(1/4)/k_divisor finite "
-             f"at n={n_top}"),
-            (not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"),
-            (self.kind == "local-law-cells" and not (
-                1 < self.grid_bound <= MAX_CELLS_PER_AXIS  # so default_grid takes it
-                and default_grid(n_top, self.grid_bound, odd=True).cells_per_axis
-                <= MAX_CELLS_PER_AXIS),
-             f"grid_bound {self.grid_bound} gives more than {MAX_CELLS_PER_AXIS} cells "
-             f"per axis at n={n_top}"),
-            (self.method not in W1_METHODS, f"unknown wasserstein method {self.method!r}"),
-            (self.f_id not in BUILTIN_FUNCTIONS,
-             f"unknown test function {self.f_id!r}; known: {sorted(BUILTIN_FUNCTIONS)}"),
-            (self.kind == "thinning-bound" and not 1 <= self.n_max <= MAX_N,
-             f"n_max must be in 1..{MAX_N}"),
-            (self.kind == "wasserstein-decay" and self.method == "lattice"
-             and any(n < MIN_N for n in self.n_list),
-             f"the lattice method needs n >= {MIN_N}"),
-            (self.kind == "full-clt" and not self.ensemble.is_real
-             and abs(atom_moments(self.ensemble).second) > 1e-9,
-             "full-clt with a complex atom needs E[xi^2] = 0"),
-        ):
+        if self.kind == "partial-fixed-K" and self.k is None:
+            object.__setattr__(self, "k", 1)
+        for invalid, message in self._checks():
             if invalid:
                 raise ConfigError(message)
-        if self.kind == "partial-fixed-K":
-            object.__setattr__(self, "k", 1 if self.k is None else self.k)
+
+    def _checks(self):
+        """Each range rule as (invalid, message), in order.  `__post_init__` stops
+        at the first invalid one, so a rule may take every earlier rule as held."""
+        yield self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"
+        yield (not self.n_list or min(self.n_list) < 1 or max(self.n_list) > MAX_N,
+               f"n_list must be a nonempty list of integers in 1..{MAX_N}")
+        n_top = max(self.n_list)
+        yield self.replicates < 1, "replicates must be >= 1"
+        yield self.base_seed < 0, "base_seed must be nonnegative"
+        yield (not 0 <= self.threads <= MAX_THREADS,
+               f"threads must be in 0..{MAX_THREADS} (0: one per usable core)")
+        yield not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"
+        yield (not 0 < self.k_divisor < math.inf or math.isinf(n_top ** 0.25 / self.k_divisor),
+               f"k_divisor must be positive and finite, with n^(1/4)/k_divisor finite "
+               f"at n={n_top}")
+        yield not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"
+        yield (self.kind == "local-law-cells" and not (
+                   self.grid_bound <= MAX_CELLS_PER_AXIS  # so default_grid takes it
+                   and default_grid(n_top, self.grid_bound, odd=True).cells_per_axis
+                   <= MAX_CELLS_PER_AXIS),
+               f"grid_bound {self.grid_bound} gives more than {MAX_CELLS_PER_AXIS} cells "
+               f"per axis at n={n_top}")
+        yield self.method not in W1_METHODS, f"unknown wasserstein method {self.method!r}"
+        yield (self.f_id not in BUILTIN_FUNCTIONS,
+               f"unknown test function {self.f_id!r}; known: {sorted(BUILTIN_FUNCTIONS)}")
+        yield (self.kind == "thinning-bound" and not 1 <= self.n_max <= MAX_N,
+               f"n_max must be in 1..{MAX_N}")
+        yield (self.kind == "wasserstein-decay" and self.method == "lattice"
+               and any(n < MIN_N for n in self.n_list),
+               f"the lattice method needs n >= {MIN_N}")
+        yield (self.kind == "full-clt" and not self.ensemble.is_real
+               and abs(atom_moments(self.ensemble).second) > 1e-9,
+               "full-clt with a complex atom needs E[xi^2] = 0")
         for n in self.n_list if self.kind.startswith("partial") else ():
             k = self.k_for(n)
-            if not 1 <= k <= n:
-                raise ConfigError(f"K={k} at n={n} must satisfy 1 <= K <= n")
-            if self.kind == "partial-growing-K" and not self.allow_large_k and k > n ** 0.25 + 1e-9:
-                raise ConfigError(
-                    f"K={k} at n={n} exceeds the n^(1/4) growth budget; "
-                    "set allow_large_k to override"
-                )
+            yield not 1 <= k <= n, f"K={k} at n={n} must satisfy 1 <= K <= n"
+            yield (self.kind == "partial-growing-K" and not self.allow_large_k
+                   and k > n ** 0.25 + 1e-9,
+                   f"K={k} at n={n} exceeds the n^(1/4) growth budget; "
+                   "set allow_large_k to override")
 
     def k_for(self, n: int) -> int:
         """Thinning size at matrix size n under this configuration."""

@@ -283,10 +283,10 @@ def disk_moments(f: TestFunction) -> DiskMoments:
 class VarianceBreakdown:
     """Limiting Gaussian variance with its three formula terms.
 
-    sigma2 = gradient_term + fourier_term + fourth_moment_term; the
-    `fourier_tail` diagnostic is the contribution of the last decade of
-    retained frequencies, and `warning` is set when it exceeds _TAIL_TOL
-    (truncation suspect).
+    sigma2 = gradient_term + fourier_term + fourth_moment_term, clamped at 0
+    (the terms are kept as computed); the `fourier_tail` diagnostic is the
+    contribution of the last decade of retained frequencies, and `warning` is
+    set when it exceeds _TAIL_TOL (truncation suspect).
     """
 
     sigma2: float
@@ -364,8 +364,9 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool) -> VarianceBreak
     if tail > _TAIL_TOL:
         warning = (f"fourier tail {tail:.3e} exceeds {_TAIL_TOL:.1e}; "
                    f"f is too rough for |k| <= {_K_MAX}")
+    # for E|xi|^4 < 3 a rounding-sized mean_f - fhat0 can take the sum just below zero
     return VarianceBreakdown(
-        sigma2=grad_term + fourier_term + fourth_term,
+        sigma2=max(grad_term + fourier_term + fourth_term, 0.0),
         gradient_term=grad_term,
         fourier_term=fourier_term,
         fourth_moment_term=fourth_term,

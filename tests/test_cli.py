@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -294,6 +295,15 @@ def test_exit_code_3_on_assert_failure(tmp_path, capsys):
     assert "ASSERT FAIL" in capsys.readouterr().err
 
 
+def test_full_clt_assert_passes_when_the_target_variance_is_zero(tmp_path, capsys):
+    # f = im sums to exactly 0 on a real matrix; a target of -7.9e-36 left the
+    # [0.75, 1.25] x target window empty, and the gate failed on the exact limit
+    code = main(["full-clt", "--ensemble", "rademacher", "--f", "im", "--n-list", "16",
+                 "--reps", "20", "--out", str(tmp_path / "clt.jsonl"), "--assert"])
+    assert code == 0
+    assert "ASSERT PASS" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["full-clt", "--n-list", "4", "--reps", "0"],
     ["wasserstein", "--n-list", "4", "--trials", "0"],
@@ -384,6 +394,23 @@ def test_experiment_flag_dests_are_config_keys():
     for name in ("wasserstein", "partial-stats", "full-clt", "local-law", "thinning-bound"):
         dests = {action.dest for action in subparsers[name]._actions}
         assert dests - outputs <= set(experiments.CONFIG_FIELDS), name
+
+
+def test_readme_flag_table_matches_the_parser():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    after = readme.split("Each subcommand takes only the flags it reads:\n", 1)[1].lstrip("\n")
+    table, rest = after.split("\n\n", 1)
+    sentence = rest[rest.index("The experiment flags are"):].split(".", 1)[0]
+    experiment_flags = set(re.findall(r"`([^`]+)`", sentence))
+    tabled = {}
+    for row in table.splitlines()[2:]:  # after the header and its rule
+        names, flags = row.strip("|").split("|")
+        expanded = set(re.findall(r"`([^`]+)`", flags))
+        if "experiment flags" in flags:
+            expanded |= experiment_flags
+        for name in re.findall(r"`([^`]+)`", names):
+            tabled[name] = expanded
+    assert tabled == {name: set(flags) for name, (_, flags, _) in cli._COMMANDS.items()}
 
 
 @pytest.mark.parametrize("config", [

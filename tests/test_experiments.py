@@ -147,6 +147,71 @@ def test_local_law_cap_counts_cells_after_odd_rounding():
     assert default_grid(16, cfg.grid_bound, odd=True).cells_per_axis == 999
 
 
+# ExperimentConfig's range rules in the order it checks them: a name, a kind (None:
+# the rule holds for every kind, shown on full-clt), fields that break that rule
+# alone, and its message.
+RANGE_RULES = [
+    ("kind", "bogus", {}, "unknown experiment kind 'bogus'"),
+    ("n_list", None, {"n_list": ()}, "n_list must be a nonempty list of integers in 1..4096"),
+    ("replicates", None, {"replicates": 0}, "replicates must be >= 1"),
+    ("base_seed", None, {"base_seed": -1}, "base_seed must be nonnegative"),
+    ("threads", None, {"threads": 257}, "threads must be in 0..256 (0: one per usable core)"),
+    ("w1_reps", None, {"w1_reps": 0}, "w1_reps must be in 1..65536"),
+    ("k_divisor", None, {"k_divisor": 0.0, "n_list": (256,)},
+     "k_divisor must be positive and finite, with n^(1/4)/k_divisor finite at n=256"),
+    ("grid_bound", None, {"grid_bound": 1.0}, "grid_bound must be finite and exceed 1"),
+    ("cell_cap", "local-law-cells", {"n_list": (16,), "grid_bound": 250.0},
+     "grid_bound 250.0 gives more than 1000 cells per axis at n=16"),
+    ("method", None, {"method": "bogus"}, "unknown wasserstein method 'bogus'"),
+    ("f", None, {"f_id": "bogus"},
+     "unknown test function 'bogus'; known: ['abs2', 'const_1', 'im', 're', 'repow_2', "
+     "'repow_3']"),
+    ("n_max", "thinning-bound", {"n_max": 0}, "n_max must be in 1..4096"),
+    ("lattice_min_n", "wasserstein-decay", {"method": "lattice", "n_list": (4,)},
+     "the lattice method needs n >= 9"),
+    ("complex_atom", "full-clt",
+     {"ensemble": AtomDistribution("custom-discrete", atoms=(1j, -1j), probs=(0.5, 0.5))},
+     "full-clt with a complex atom needs E[xi^2] = 0"),
+    ("k_range", "partial-fixed-K", {"n_list": (8,), "k": 9},
+     "K=9 at n=8 must satisfy 1 <= K <= n"),
+    ("k_budget", "partial-growing-K", {"n_list": (16,), "k": 3},
+     "K=3 at n=16 exceeds the n^(1/4) growth budget; set allow_large_k to override"),
+]
+
+
+def _config_error(kwargs) -> str:
+    with pytest.raises(ConfigError) as exc:
+        ExperimentConfig(**kwargs)
+    return str(exc.value)
+
+
+@pytest.mark.parametrize("name, kind, fields, message", RANGE_RULES,
+                         ids=[name for name, *_ in RANGE_RULES])
+def test_each_range_rule_reports_its_message(name, kind, fields, message):
+    assert _config_error({"kind": kind or "full-clt", **fields}) == message
+
+
+def test_the_earlier_of_two_broken_range_rules_is_reported():
+    # the later rule's fields, then the earlier's, which win where both set a field
+    for i, (_, kind, fields, message) in enumerate(RANGE_RULES):
+        for _, later_kind, later_fields, _ in RANGE_RULES[i + 1:]:
+            kwargs = {"kind": kind or later_kind or "full-clt", **later_fields, **fields}
+            assert _config_error(kwargs) == message, kwargs
+
+
+@pytest.mark.parametrize("kwargs, rule", [
+    # the cell-cap rule needs a grid bound the grid_bound rule took, and a size in range
+    (dict(kind="local-law-cells", n_list=(0,), grid_bound=1e308), "n_list"),
+    # n^(1/4) of a size past float64 would overflow in the k_divisor rule
+    (dict(kind="full-clt", n_list=(10**400,), k_divisor=1e-300), "n_list"),
+    (dict(kind="bogus", n_list=(-1,)), "unknown experiment kind"),
+    # the K rules come last
+    (dict(kind="partial-fixed-K", n_list=(8,), k=9, f_id="bogus"), "unknown test function"),
+], ids=["cell_cap_after_n_list", "k_divisor_after_n_list", "kind_first", "k_rules_last"])
+def test_a_config_with_several_bad_fields_reports_the_first_rule(kwargs, rule):
+    assert _config_error(kwargs).startswith(rule)
+
+
 def test_growing_k_rule():
     cfg = ExperimentConfig(kind="partial-growing-K", n_list=(256,))
     assert cfg.k_for(16) == 1  # floor(2 / 1.2)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thinspec import spectral, stats
-from thinspec.ensembles import AtomDistribution, ComplexMatrix, atom_moments
+from thinspec.ensembles import BUILTIN_KINDS, AtomDistribution, ComplexMatrix, atom_moments
 from thinspec.spectral import ComplexSpectrum, eigenvalues
 from thinspec.stats import (
     BUILTIN_FUNCTIONS,
@@ -307,6 +307,16 @@ def test_ginibre_variance_rejects_bad_inputs():
     rg = atom_moments(AtomDistribution("real-gaussian"))
     with pytest.raises(ValueError):
         ginibre_variance(function_by_id("re"), rg, real_atom=False)
+
+
+@pytest.mark.parametrize("kind", BUILTIN_KINDS)
+def test_ginibre_variance_is_never_negative(kind):
+    # E|xi|^4 - 3 < 0 times a rounding-sized (mean_f - fhat0)^2 made the Rademacher
+    # sigma2 -7.9e-36 for im and -6.3e-30 for const_1
+    dist = AtomDistribution(kind)
+    for f_id in sorted(BUILTIN_FUNCTIONS):
+        out = ginibre_variance(function_by_id(f_id), atom_moments(dist), real_atom=dist.is_real)
+        assert out.sigma2 >= 0.0, f_id
 
 
 # ---------------------------------------------------------------------------
