@@ -397,7 +397,7 @@ def test_experiment_flag_dests_are_config_keys():
 
 
 def test_readme_flag_table_matches_the_parser():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     after = readme.split("Each subcommand takes only the flags it reads:\n", 1)[1].lstrip("\n")
     table, rest = after.split("\n\n", 1)
     sentence = rest[rest.index("The experiment flags are"):].split(".", 1)[0]
