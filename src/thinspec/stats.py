@@ -8,6 +8,7 @@ angle) plus FFT Fourier coefficients on the unit circle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -232,15 +233,22 @@ class DiskMoments:
     err: float
 
 
+@functools.cache
 def _disk_grid(radial_nodes: int, angular_nodes: int):
-    """Nodes z and weights w with sum(w * g(z)) ~= E[g(U)], U uniform on the disk."""
+    """Nodes z and weights w with sum(w * g(z)) ~= E[g(U)], U uniform on the disk.
+
+    Built once per resolution and shared by every caller, so both arrays are
+    read-only.
+    """
     x, wx = np.polynomial.legendre.leggauss(radial_nodes)
     s = 0.5 * (x + 1.0)  # Gauss-Legendre in s = r^2 on [0, 1]
     ws = 0.5 * wx
     theta = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     z = np.sqrt(s)[:, None] * np.exp(1j * theta)[None, :]
     w = np.repeat(ws[:, None] / angular_nodes, angular_nodes, axis=1)
-    return z.ravel(), w.ravel()
+    z, w = z.ravel(), w.ravel()
+    z.flags.writeable = w.flags.writeable = False
+    return z, w
 
 
 def _moments_on_grid(f: TestFunction, radial_nodes: int, angular_nodes: int):

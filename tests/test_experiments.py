@@ -394,11 +394,21 @@ def test_thinning_bound_overflow_is_an_infinite_bound():
     # the prefactor exceeds the largest double from n = 80 on
     assert near_binomial_bound(80, 80, 0, 80) == math.inf
     assert near_binomial_bound(80, 80, 0, 79) == 0.0  # binomial pmf 0, not inf * 0
+    # neither an overflowed prefactor nor the K = 0 corner's -inf log ratio warns
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        row = _thinning_scan_for_n(80)
-    assert row["violations"] == 0
-    assert 0.0 < row["worst_ratio"] <= 1.0
+        rows = [_thinning_scan_for_n(n) for n in range(1, 131)]
+    for row in rows:
+        assert row["violations"] == 0
+        assert 0.0 < row["worst_ratio"] <= 1.0
+
+
+def test_thinning_scan_filter_drops_no_deciding_cell(monkeypatch):
+    sizes = [*range(1, 61), 80, 120, 150]
+    filtered = [_thinning_scan_for_n(n) for n in sizes]
+    # no slice is cleared, so the exact evaluator sees every feasible cell
+    monkeypatch.setattr(experiments, "_SCAN_CLEAR", -math.inf)
+    assert [_thinning_scan_for_n(n) for n in sizes] == filtered
 
 
 def test_thinning_scan_rows_past_n_130_are_pinned():
