@@ -689,7 +689,7 @@ def _thinning_scan_for_n(n: int):
 def _summarize_thinning(config, sizes):
     """Exhaustive pmf <= bound verification for all feasible tuples up to n_max.
 
-    `worst_case` names the worst record's cell; for n_max <= 200 that is one
+    `worst_case` names the worst record's cell; for n_max <= 400 that is one
     of the K = 1 cells, which tie in exact arithmetic, so rounding picks it.
     """
     records = [row for _, rows in sizes for row in rows]

@@ -444,7 +444,7 @@ def test_pool_map_keeps_a_few_tasks_per_worker_ahead_in_run_order():
 
 def test_thinning_scan_memory_is_quadratic():
     # one dense (K, J, j) float array at n = 300 alone is 207 MiB; the scan's
-    # per-|J| slices and (n+1)^2 tables peak near 2.5 MiB
+    # per-|J| slices and (n+1)^2 tables peak near 2.9 MiB
     tracemalloc.start()
     try:
         _thinning_scan_for_n(300)
