@@ -66,15 +66,20 @@ log = logging.getLogger(__name__)
 # At most this fraction of replicates may be skipped due to solver failures.
 MAX_SKIP_FRACTION = 0.01
 
-# Caps that keep memory bounded for any accepted config: matrix sizes and
-# thinning-bound's n_max (the exact-W1 cap; a complex sample at the cap draws
-# 2n^2 float64 normals, 256 MiB), per-rep W1 values held by a wasserstein
-# replicate, local-law grid cells per axis, and worker processes (a forked pool
-# starts all its workers at once).
+# Caps that keep memory bounded for any accepted config: matrix sizes (the
+# exact-W1 cap; a complex sample at the cap draws 2n^2 float64 normals,
+# 256 MiB), replicates times distinct sizes (a run holds every replicate's
+# arguments and record, up to about 2 KiB each), per-rep W1 values held by a
+# wasserstein replicate, local-law grid cells per axis, and worker processes (a
+# forked pool starts all its workers at once).  thinning-bound's n_max stops
+# where every feasible pmf and binomial is still a normal double, which the
+# scan's filter needs (`_thinning_scan_for_n`).
 MAX_N = DEFAULT_EXACT_CAP
+MAX_RUN_REPLICATES = 1 << 17
 MAX_W1_REPS = 1 << 16
 MAX_CELLS_PER_AXIS = 1000
 MAX_THREADS = 256
+_SCAN_NORMAL_N = 1021
 
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
@@ -147,6 +152,9 @@ class ExperimentConfig:
                f"n_list must be a nonempty list of integers in 1..{MAX_N}")
         n_top = max(self.n_list)
         yield self.replicates < 1, "replicates must be >= 1"
+        yield (self.replicates * len(set(self.n_list)) > MAX_RUN_REPLICATES,
+               f"replicates times the distinct sizes of n_list must be at most "
+               f"{MAX_RUN_REPLICATES}, got {self.replicates} x {len(set(self.n_list))}")
         yield self.base_seed < 0, "base_seed must be nonnegative"
         yield (not 0 <= self.threads <= MAX_THREADS,
                f"threads must be in 0..{MAX_THREADS} (0: one per usable core)")
@@ -164,8 +172,8 @@ class ExperimentConfig:
         yield self.method not in W1_METHODS, f"unknown wasserstein method {self.method!r}"
         yield (self.f_id not in BUILTIN_FUNCTIONS,
                f"unknown test function {self.f_id!r}; known: {sorted(BUILTIN_FUNCTIONS)}")
-        yield (self.kind == "thinning-bound" and not 1 <= self.n_max <= MAX_N,
-               f"n_max must be in 1..{MAX_N}")
+        yield (self.kind == "thinning-bound" and not 1 <= self.n_max <= _SCAN_NORMAL_N,
+               f"n_max must be in 1..{_SCAN_NORMAL_N}")
         yield (self.kind == "wasserstein-decay" and self.method == "lattice"
                and any(n < MIN_N for n in self.n_list),
                f"the lattice method needs n >= {MIN_N}")
@@ -582,12 +590,10 @@ def _cells_row(config, n, rows):
 
 
 # The thinning scan's filter (`_thinning_scan_for_n`): a slice whose log
-# ratios are all at most _SCAN_CLEAR holds no violation; only cells within
-# _SCAN_TIE of the largest log ratio can hold the largest float ratio; and up
-# to n = _SCAN_NORMAL_N every feasible pmf and binomial is a normal double.
+# ratios are all at most _SCAN_CLEAR holds no violation, and only cells within
+# _SCAN_TIE of the largest log ratio can hold the largest float ratio.
 _SCAN_CLEAR = -1e-6
 _SCAN_TIE = 1e-9
-_SCAN_NORMAL_N = 1021
 
 
 def _thinning_scan_for_n(n: int):
@@ -611,10 +617,10 @@ def _thinning_scan_for_n(n: int):
     or log q is 0 at s = 0 and s = n, so the binomial is exp(0) = 1, a point
     mass at the only feasible j), and counts violations and ratios:
     - on every cell of a slice the filter cannot clear, one slice at a time.
-      It clears a slice whose log ratios are all at most _SCAN_CLEAR, at
-      n <= _SCAN_NORMAL_N only: there every feasible pmf and binomial is at
-      least 2^-n, a normal double, so its float ratio is the exp of its log
-      ratio to within a few ulp and cannot exceed 1 + 1e-12.
+      It clears a slice whose log ratios are all at most _SCAN_CLEAR: for
+      n <= _SCAN_NORMAL_N, the n_max cap, every feasible pmf and binomial is
+      at least 2^-n, a normal double, so its float ratio is the exp of its
+      log ratio to within a few ulp and cannot exceed 1 + 1e-12.
     - once, on the cells of cleared slices within _SCAN_TIE of the largest
       log ratio; no other cell's float ratio can be the largest.
     Ties keep the first cell in (K, J, j) order.  At K = 1 the pmf equals
@@ -629,8 +635,7 @@ def _thinning_scan_for_n(n: int):
     lg = gammaln(a + 1)
     lc = (lg[:, None] - lg) - lg[np.abs(a[:, None] - a)]  # log C(a, b) at [a, b], b <= a
     exponent = (a * a / n) / np.sqrt(1.0 - (a - 1.0) / n)
-    # An overflowed prefactor is an infinite bound, except where the
-    # binomial factor is 0: there the bound is 0, not inf * 0.
+    # An overflowed prefactor is an infinite bound.
     with np.errstate(over="ignore"):
         prefactor = np.exp(exponent)
     p = 1.0 - a / n
@@ -655,8 +660,8 @@ def _thinning_scan_for_n(n: int):
         """
         pmf = np.exp((lc[n - s, j] + lc[s, m]) - lc_n_k[at])
         binom = np.exp(((lg_k[at] - lg[j]) - lg[m]) + j * log_p[s] + m * log_q[s])
-        bound = np.multiply(prefactor_k[at], binom, out=np.zeros_like(binom), where=binom > 0)
-        ratio = np.divide(pmf, bound, out=np.zeros_like(pmf), where=pmf > 0)
+        bound = prefactor_k[at] * binom
+        ratio = pmf / bound
         top = np.flatnonzero(ratio == ratio.max())
         s, j, m = (np.broadcast_to(v, ratio.shape).flat[top] for v in (s, j, m))
         return (int(np.count_nonzero(pmf > bound * (1 + 1e-12))),
@@ -664,15 +669,14 @@ def _thinning_scan_for_n(n: int):
 
     violations, worst, best, near = 0, (math.inf,), -math.inf, []
     for s in range(n // 2 + 1):  # the ratio at (s, j, m) is the ratio at (n - s, m, j)
-        if n <= _SCAN_NORMAL_N:
-            log_ratio = (alpha[s, :w - s, None] + gamma_k[:w - s, :s + 1]) + beta[s, :s + 1]
-            top = log_ratio.max()
-            best = max(best, top)
-            if top <= _SCAN_CLEAR:
-                if top > best - _SCAN_TIE:
-                    j, m = np.nonzero(log_ratio > best - _SCAN_TIE)
-                    near += [(s, j, m), (n - s, m, j)] if 2 * s < n else [(s, j, m)]
-                continue
+        log_ratio = (alpha[s, :w - s, None] + gamma_k[:w - s, :s + 1]) + beta[s, :s + 1]
+        top = log_ratio.max()
+        best = max(best, top)
+        if top <= _SCAN_CLEAR:
+            if top > best - _SCAN_TIE:
+                j, m = np.nonzero(log_ratio > best - _SCAN_TIE)
+                near += [(s, j, m), (n - s, m, j)] if 2 * s < n else [(s, j, m)]
+            continue
         for t in {s, n - s}:  # every cell of a slice the filter cannot clear
             count, cell = exact(t, a[:w - t, None], a[:t + 1], np.s_[:w - t, :t + 1])
             violations, worst = violations + count, min(worst, cell)

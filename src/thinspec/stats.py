@@ -31,57 +31,30 @@ class TestFunction:
     """Complex-plane test function.
 
     `evaluate` must accept complex ndarrays; `ginibre_variance` rejects an f
-    whose values have a nonzero imaginary part.  Built-ins also carry an exact
-    gradient (d/dx, d/dy) used to validate the finite-difference path.
+    whose values have a nonzero imaginary part.
     """
 
     __test__ = False  # keep pytest from collecting the domain type
 
     id: str
     evaluate: Callable[[np.ndarray], np.ndarray]
-    gradient: Callable[[np.ndarray], tuple] | None = None
 
 
 def _repow(k: int) -> TestFunction:
     def evaluate(z, k=k):
         return np.real(np.asarray(z, dtype=np.complex128) ** k)
 
-    def gradient(z, k=k):
-        zp = k * np.asarray(z, dtype=np.complex128) ** (k - 1)
-        return np.real(zp), -np.imag(zp)
-
-    return TestFunction(id=f"repow_{k}", evaluate=evaluate, gradient=gradient)
+    return TestFunction(id=f"repow_{k}", evaluate=evaluate)
 
 
 BUILTIN_FUNCTIONS: dict[str, TestFunction] = {
     f.id: f
     for f in (
-        TestFunction(
-            id="const_1",
-            evaluate=lambda z: np.ones_like(np.asarray(z), dtype=np.float64),
-            gradient=lambda z: (np.zeros_like(z, dtype=np.float64),) * 2,
-        ),
-        TestFunction(
-            id="re",
-            evaluate=lambda z: np.real(z),
-            gradient=lambda z: (
-                np.ones_like(z, dtype=np.float64),
-                np.zeros_like(z, dtype=np.float64),
-            ),
-        ),
-        TestFunction(
-            id="im",
-            evaluate=lambda z: np.imag(z),
-            gradient=lambda z: (
-                np.zeros_like(z, dtype=np.float64),
-                np.ones_like(z, dtype=np.float64),
-            ),
-        ),
-        TestFunction(
-            id="abs2",
-            evaluate=lambda z: np.abs(z) ** 2,
-            gradient=lambda z: (2.0 * np.real(z), 2.0 * np.imag(z)),
-        ),
+        TestFunction(id="const_1",
+                     evaluate=lambda z: np.ones_like(np.asarray(z), dtype=np.float64)),
+        TestFunction(id="re", evaluate=lambda z: np.real(z)),
+        TestFunction(id="im", evaluate=lambda z: np.imag(z)),
+        TestFunction(id="abs2", evaluate=lambda z: np.abs(z) ** 2),
         _repow(2),
         _repow(3),
     )

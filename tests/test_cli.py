@@ -183,6 +183,14 @@ def test_thinning_bound_assert_passes(tmp_path):
     assert code == 0
 
 
+def test_thinning_bound_n_max_is_capped(tmp_path, capsys):
+    # the scan's filter holds up to n = 1021; an n_max of 4096 used to run for days
+    out = tmp_path / "thin.jsonl"
+    assert main(["thinning-bound", "--n-max", "1022", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: n_max must be in 1..1021\n"
+    assert not out.exists()
+
+
 def test_variance_output(capsys):
     assert main(["variance", "--f", "re", "--atom", "complex-gaussian"]) == 0
     printed = capsys.readouterr().out
@@ -436,12 +444,13 @@ def test_readme_flag_table_matches_the_parser():
                                       "probs": [0.5, 0.5]}},
     {"kind": "full-clt", "threads": -1},
     {"kind": "full-clt", "n_list": [64], "replicates": 5000, "threads": 5000},
+    {"kind": "full-clt", "n_list": [2, 4], "replicates": 65537},
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_infinity",
         "growing_k_0", "grid_bound_1",
         "grid_bound_infinity", "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0",
         "w1_reps_1e11",
         "unknown_f", "wasserstein_above_cap", "lattice_below_min_n", "complex_atom_second_moment",
-        "nan_probs", "nan_atom", "threads_negative", "threads_5000"])
+        "nan_probs", "nan_atom", "threads_negative", "threads_5000", "replicates_above_cap"])
 def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):
     def no_solve(matrix, scale):
         raise AssertionError("eigenvalues called for an invalid config")

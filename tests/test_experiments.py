@@ -3,10 +3,12 @@ import hashlib
 import json
 import logging
 import math
+import re
 import sys
 import tracemalloc
 import warnings
 from concurrent.futures import Future
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -93,7 +95,10 @@ def test_config_validation():
     dict(kind="partial-fixed-K", n_list=(64, 4097)),
     dict(kind="partial-growing-K", n_list=(4097,)),
     dict(kind="local-law-cells", n_list=(4097,)),
-    dict(kind="thinning-bound", n_max=4097),
+    dict(kind="thinning-bound", n_max=1022),
+    # a run's memory grows with its replicates, summed over its distinct sizes
+    dict(kind="full-clt", n_list=(2,), replicates=experiments.MAX_RUN_REPLICATES + 1),
+    dict(kind="partial-fixed-K", n_list=(1, 2), replicates=(1 << 16) + 1),
     dict(kind="full-clt", threads=-1),
     # a value that is no integer used to run: n = 16 or 1, a seed from "True", 1 replicate
     dict(kind="full-clt", n_list=(16.9,)),
@@ -130,7 +135,8 @@ def test_config_validation():
         "grid_bound_250_n16", "w1_reps_0", "w1_reps_above_cap",
         "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
         "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
-        "local_law_above_cap", "n_max_above_cap", "threads_negative",
+        "local_law_above_cap", "n_max_above_cap", "replicates_above_cap",
+        "replicates_times_sizes_above_cap", "threads_negative",
         "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
         "k_float", "w1_reps_str", "n_max_float", "threads_bool",
         "grid_bound_str", "grid_bound_none", "n_list_int", "ensemble_str", "ensemble_dict",
@@ -140,6 +146,14 @@ def test_config_validation():
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
         ExperimentConfig(**kwargs)
+
+
+def test_configs_at_the_caps_are_accepted():
+    ExperimentConfig(kind="thinning-bound", n_max=experiments._SCAN_NORMAL_N)
+    cap = experiments.MAX_RUN_REPLICATES
+    ExperimentConfig(kind="full-clt", n_list=(2,), replicates=cap)
+    # a repeated size is solved and measured once, so it counts once
+    ExperimentConfig(kind="full-clt", n_list=(2, 4, 2), replicates=cap // 2)
 
 
 def test_local_law_cap_counts_cells_after_odd_rounding():
@@ -154,6 +168,8 @@ RANGE_RULES = [
     ("kind", "bogus", {}, "unknown experiment kind 'bogus'"),
     ("n_list", None, {"n_list": ()}, "n_list must be a nonempty list of integers in 1..4096"),
     ("replicates", None, {"replicates": 0}, "replicates must be >= 1"),
+    ("replicate_cap", None, {"replicates": 131073},
+     "replicates times the distinct sizes of n_list must be at most 131072, got 131073 x 1"),
     ("base_seed", None, {"base_seed": -1}, "base_seed must be nonnegative"),
     ("threads", None, {"threads": 257}, "threads must be in 0..256 (0: one per usable core)"),
     ("w1_reps", None, {"w1_reps": 0}, "w1_reps must be in 1..65536"),
@@ -166,7 +182,7 @@ RANGE_RULES = [
     ("f", None, {"f_id": "bogus"},
      "unknown test function 'bogus'; known: ['abs2', 'const_1', 'im', 're', 'repow_2', "
      "'repow_3']"),
-    ("n_max", "thinning-bound", {"n_max": 0}, "n_max must be in 1..4096"),
+    ("n_max", "thinning-bound", {"n_max": 0}, "n_max must be in 1..1021"),
     ("lattice_min_n", "wasserstein-decay", {"method": "lattice", "n_list": (4,)},
      "the lattice method needs n >= 9"),
     ("complex_atom", "full-clt",
@@ -183,6 +199,23 @@ def _config_error(kwargs) -> str:
     with pytest.raises(ConfigError) as exc:
         ExperimentConfig(**kwargs)
     return str(exc.value)
+
+
+def test_readme_range_rules_state_the_caps():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rules = readme.split("when a value is out of range:", 1)[1].split("All of these", 1)[0]
+    rules = " ".join(rules.split())  # one line, whatever the wrapping
+    patterns = {
+        "MAX_N": r"`n_list` outside 1\.\.(\d+)",
+        "MAX_RUN_REPLICATES": r"distinct sizes in `n_list`, above (\d+)",
+        "MAX_THREADS": r"`threads` outside 0\.\.(\d+)",
+        "MAX_W1_REPS": r"`w1_reps` outside 1\.\.(\d+)",
+        "MAX_CELLS_PER_AXIS": r"more than (\d+) cells per axis",
+        "_SCAN_NORMAL_N": r"`n_max` outside 1\.\.(\d+)",
+    }
+    stated = {name: [int(v) for v in re.findall(pattern, rules)]
+              for name, pattern in patterns.items()}
+    assert stated == {name: [getattr(experiments, name)] for name in patterns}
 
 
 @pytest.mark.parametrize("name, kind, fields, message", RANGE_RULES,
@@ -415,6 +448,14 @@ def test_thinning_scan_rows_past_n_130_are_pinned():
     rows = [_thinning_scan_for_n(n) for n in (150, 200, 257, 300)]
     digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
     assert digest == "63e3977ccc660d06d1b6a193cd737dcb2365742964301b663ea6410c30c58723"
+
+
+def test_thinning_scan_rows_up_to_the_n_max_cap_are_pinned():
+    # every feasible binomial is at least 2^-n > 0, so no 0/0 or x/0 arises
+    with np.errstate(all="raise"):
+        rows = [_thinning_scan_for_n(n) for n in (500, 640, 1000, experiments._SCAN_NORMAL_N)]
+    digest = hashlib.sha256(json.dumps(rows).encode("utf-8")).hexdigest()
+    assert digest == "4192bb83fe70450d28e677927b3906ff5155f9d6870dcb2a9357e0a99ee8ea0d"
 
 
 def test_thinning_bound_records_across_k_blocks_are_pinned():

@@ -4,7 +4,7 @@ import math
 
 from hypothesis import given, strategies as st
 
-from thinspec.experiments import _thinning_scan_for_n
+from thinspec.experiments import _SCAN_NORMAL_N, _thinning_scan_for_n
 from thinspec.stats import _binomial_pmf, hypergeom_removal_pmf, near_binomial_bound
 
 
@@ -29,10 +29,10 @@ def test_pmf_sums_to_one(sizes):
     assert abs(total - 1.0) <= 1e-12
 
 
-@given(population_and_sizes(n_max=1021), st.data())
+@given(population_and_sizes(n_max=_SCAN_NORMAL_N), st.data())
 def test_feasible_pmf_and_binomial_are_normal_doubles(sizes, data):
-    # the scan's filter clears slices up to n = 1021 on this fact: each
-    # feasible value is at least 2^-n >= 2^-1021, above the subnormal range
+    # the scan's filter clears slices on this fact for every n up to the n_max
+    # cap: each feasible value is at least 2^-n >= 2^-1021, above the subnormal range
     n, k, j_size = sizes
     j = data.draw(st.integers(max(0, k - j_size), min(k, n - j_size)))
     assert hypergeom_removal_pmf(n, k, j_size, j) >= 2.0 ** -n
