@@ -81,6 +81,10 @@ MAX_CELLS_PER_AXIS = 1000
 MAX_THREADS = 256
 _SCAN_NORMAL_N = 1021
 
+# The growing-K rule: K = max(1, floor(n^(1/4) / _K_DIVISOR)) unless `k` sets K.
+_K_DIVISOR = 1.2
+
+
 def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
@@ -120,7 +124,6 @@ class ExperimentConfig:
     )
     n_list: tuple = (256,)
     k: int | None = None
-    k_divisor: float = 1.2  # growing-K rule: max(1, floor(n^(1/4) / divisor))
     allow_large_k: bool = False
     f_id: str = "re"
     replicates: int = 100
@@ -159,9 +162,6 @@ class ExperimentConfig:
         yield (not 0 <= self.threads <= MAX_THREADS,
                f"threads must be in 0..{MAX_THREADS} (0: one per usable core)")
         yield not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"
-        yield (not 0 < self.k_divisor < math.inf or math.isinf(n_top ** 0.25 / self.k_divisor),
-               f"k_divisor must be positive and finite, with n^(1/4)/k_divisor finite "
-               f"at n={n_top}")
         yield not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"
         yield (self.kind == "local-law-cells" and not (
                    self.grid_bound <= MAX_CELLS_PER_AXIS  # so default_grid takes it
@@ -192,7 +192,7 @@ class ExperimentConfig:
         """Thinning size at matrix size n under this configuration."""
         if self.k is not None:  # always set for partial-fixed-K
             return self.k
-        return max(1, math.floor(n ** 0.25 / self.k_divisor))
+        return max(1, math.floor(n ** 0.25 / _K_DIVISOR))
 
     def to_dict(self) -> dict:
         """Canonical JSON form: every field but `threads`, under its file key."""
@@ -248,11 +248,16 @@ class ExperimentResult:
 # run order.
 _SPECTRA: dict = {}
 
-# Most eigenvalue bytes (16 each, n per solve) the memo holds: a run whose
-# solves would pass it keeps none of them.  16 MiB holds 1000 replicates at
-# n=1024 (16 KiB each); a run that no later run reads back, such as a CLI
-# run, holds them for nothing.
+# Most bytes the memo holds, counted per solve as its n eigenvalues (16 bytes
+# each) and _SPECTRUM_OVERHEAD: a run whose solves would pass it keeps none of
+# them.  16 MiB holds 996 solves at n=1024 (16.4 KiB each); a run that no
+# later run reads back, such as a CLI run, holds them for nothing.
 _SPECTRA_BUDGET = 16 << 20
+
+# Bytes a kept spectrum holds beside its eigenvalues, by tracemalloc: its
+# objects and list slot take 208 when solved here and up to 430 when
+# unpickled from a pool worker.
+_SPECTRUM_OVERHEAD = 448
 
 
 # Least solve work, in n^3 units summed over the matrices of all a run's
@@ -351,7 +356,7 @@ def _replicate_records(config: ExperimentConfig) -> list:
     memo = _SPECTRA.get(run)
     _SPECTRA.clear()  # until this run's solves are all in
     per_replicate = len(KINDS[config.kind].solves)
-    nbytes = 16 * sum(sizes) * config.replicates * per_replicate
+    nbytes = sum(16 * n + _SPECTRUM_OVERHEAD for n in sizes) * config.replicates * per_replicate
     kept = [] if nbytes <= _SPECTRA_BUDGET else None  # the solves to store, in run order
     solves = [] if memo else [a for args in replicates for a in _solves(*args)]
     workers = 1

@@ -68,15 +68,13 @@ class TransportResult:
     """Pairing permutation and its average transport cost.
 
     `permutation[k]` is the 0-based index in `b` matched to `a[k]`, and
-    `value` is (1/n) * sum_k |a_k - b_perm(k)|.  `bad_count` and
-    `per_cell_counts` are populated by the grid method only; the last entry
-    of `per_cell_counts` is the overflow cell.
+    `value` is (1/n) * sum_k |a_k - b_perm(k)|.  `bad_count` is populated
+    by the grid method only; `cell_counts` gives each set's occupancy there.
     """
 
     permutation: np.ndarray
     value: float
     bad_count: int | None = None
-    per_cell_counts: tuple | None = None
 
 
 def _as_points(a) -> np.ndarray:
@@ -138,12 +136,7 @@ def grid_pairing(a, b, grid: GridSpec) -> TransportResult:
     perm[leftover_a] = leftover_b
 
     value = float(np.abs(a - b[perm]).sum() / n)
-    return TransportResult(
-        permutation=perm,
-        value=value,
-        bad_count=int(n - pairs[:-1].sum()),
-        per_cell_counts=tuple(zip(counts_a.tolist(), counts_b.tolist())),
-    )
+    return TransportResult(permutation=perm, value=value, bad_count=int(n - pairs[:-1].sum()))
 
 
 def _split_by_rank(cells, counts, pairs) -> tuple[np.ndarray, np.ndarray]:
@@ -195,24 +188,13 @@ def uniform_disk_sample(count: int, seed: int) -> np.ndarray:
     return disk_points(make_rng(seed), count)
 
 
-def w1_to_disk_samples(points, reps: int, seed: int) -> np.ndarray:
-    """Per-replicate exact W1 values against fresh uniform-disk samples."""
-    points = _as_points(points)
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    values = np.empty(reps)
-    for r in range(reps):
-        ref = uniform_disk_sample(points.size, derive_seed64(seed, "disk-rep", r))
-        values[r] = w1_exact(points, ref).value
-    return values
-
-
 def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0) -> float:
     """Estimated W1 from the empirical measure of `points` to the disk law.
 
     method "lattice" matches against the predicted-location lattice (bias =
     lattice-to-disk distance); method "sample" averages exact matchings
-    against `reps` independent uniform-disk samples.
+    against `reps` >= 1 uniform-disk samples, the r-th drawn from seed
+    `derive_seed64(seed, "disk-rep", r)`.
     """
     points = _as_points(points)
     if method == "lattice":
@@ -220,5 +202,9 @@ def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0) -> 
 
         return w1_exact(points, lattice(points.size).points).value
     if method == "sample":
-        return float(w1_to_disk_samples(points, reps, seed).mean())
+        if reps < 1:
+            raise ValueError("reps must be >= 1")
+        refs = (uniform_disk_sample(points.size, derive_seed64(seed, "disk-rep", r))
+                for r in range(reps))
+        return float(np.mean([w1_exact(points, ref).value for ref in refs]))
     raise ValueError(f"unknown method {method!r}")

@@ -354,12 +354,11 @@ def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, 
 
 
 @pytest.mark.parametrize("config, expected", [
-    ({"kind": "full-clt", "k_divisor": 10**400}, "error: k_divisor must be positive and finite"),
     ({"kind": "full-clt", "grid_bound": 10**400}, "error: grid_bound must be finite and exceed 1"),
     ({"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [1, -1],
                                        "probs": [10**400, 0.5]}},
      "error: config field 'ensemble': atoms and probabilities must be finite"),
-], ids=["k_divisor", "grid_bound", "ensemble_probs"])
+], ids=["grid_bound", "ensemble_probs"])
 def test_exit_code_2_on_an_integer_past_float64(tmp_path, capsys, config, expected):
     # a 401-digit integer literal used to end in an OverflowError traceback
     cfg = tmp_path / "huge.json"
@@ -422,6 +421,7 @@ def test_readme_flag_table_matches_the_parser():
 
 
 @pytest.mark.parametrize("config", [
+    # k_divisor is an unknown key, whatever its value
     {"kind": "partial-growing-K", "k_divisor": 0},
     {"kind": "partial-growing-K", "k_divisor": -1},
     {"kind": "partial-growing-K", "k_divisor": 1e-320},
@@ -466,6 +466,18 @@ def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, 
     cfg.write_text(json.dumps({"n_list": [16], "replicates": 2, **config}))
     assert main([*command, "--config", str(cfg)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_k_divisor_is_an_unknown_key_and_growing_k_keeps_its_rule(tmp_path, capsys):
+    cfg = tmp_path / "k_divisor.json"
+    cfg.write_text(json.dumps({"kind": "partial-growing-K", "k_divisor": 1.2}))
+    assert main(["partial-stats", "--growing", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown config field(s) ['k_divisor']")
+    out = tmp_path / "growing.jsonl"
+    assert main(["partial-stats", "--growing", "--n-list", "256", "--reps", "2",
+                 "--out", str(out)]) == 0
+    records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
+    assert [r["k"] for r in records] == [3, 3]  # floor(256^(1/4) / 1.2)
 
 
 @pytest.mark.skipif(spectral._openblas_threads() is None,

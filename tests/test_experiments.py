@@ -69,11 +69,6 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(kind="partial-growing-K", k_divisor=0),
-    dict(kind="partial-growing-K", k_divisor=-1.0),  # used to give K=1 silently
-    dict(kind="partial-growing-K", k_divisor=1e-320),  # n^(1/4)/divisor overflows
-    dict(kind="partial-growing-K", k_divisor=math.inf),
-    dict(kind="partial-growing-K", k_divisor=math.nan),
     dict(kind="partial-growing-K", k=0),
     dict(kind="partial-growing-K", k=2, n_list=(1,), allow_large_k=True),
     dict(kind="local-law-cells", grid_bound=1.0),
@@ -111,7 +106,7 @@ def test_config_validation():
     dict(kind="thinning-bound", n_max=60.0),
     dict(kind="full-clt", threads=True),
     # a float, bool, str or ensemble field of another type used to raise TypeError or
-    # AttributeError, or to run: k_divisor True as 1, allow_large_k "no" as true
+    # AttributeError, or to run: allow_large_k "no" as true; a bool is no number
     dict(kind="local-law-cells", grid_bound="2"),
     dict(kind="local-law-cells", grid_bound=None),
     dict(kind="full-clt", n_list=64),
@@ -119,17 +114,15 @@ def test_config_validation():
     dict(kind="full-clt", ensemble={"kind": "rademacher"}),
     dict(kind="full-clt", f_id=["re"]),
     dict(kind=["full-clt"]),
-    dict(kind="partial-growing-K", k_divisor=True),
+    dict(kind="local-law-cells", grid_bound=True),
     dict(kind="partial-growing-K", n_list=(16,), k=3, allow_large_k="no"),
     # an integer past float64's range used to raise OverflowError
-    dict(kind="partial-growing-K", k_divisor=10**400),
     dict(kind="local-law-cells", grid_bound=10**400),
     dict(kind="local-law-cells", grid_bound=-10**400),
     # a size whose n^(1/4) is complex or past float64 used to raise TypeError or OverflowError
     dict(kind="full-clt", n_list=(-1,)),
     dict(kind="local-law-cells", n_list=(10**400,)),
-], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_inf",
-        "k_divisor_nan", "growing_k_0", "growing_k_above_n",
+], ids=["growing_k_0", "growing_k_above_n",
         "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
         "grid_bound_1e308", "grid_bound_1e4_n1024", "grid_bound_249.8_n16",
         "grid_bound_250_n16", "w1_reps_0", "w1_reps_above_cap",
@@ -140,8 +133,8 @@ def test_config_validation():
         "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
         "k_float", "w1_reps_str", "n_max_float", "threads_bool",
         "grid_bound_str", "grid_bound_none", "n_list_int", "ensemble_str", "ensemble_dict",
-        "f_list", "kind_list", "k_divisor_bool", "allow_large_k_str",
-        "k_divisor_huge_int", "grid_bound_huge_int", "grid_bound_huge_negative_int",
+        "f_list", "kind_list", "grid_bound_bool", "allow_large_k_str",
+        "grid_bound_huge_int", "grid_bound_huge_negative_int",
         "n_list_negative", "n_list_huge_int"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
@@ -173,8 +166,6 @@ RANGE_RULES = [
     ("base_seed", None, {"base_seed": -1}, "base_seed must be nonnegative"),
     ("threads", None, {"threads": 257}, "threads must be in 0..256 (0: one per usable core)"),
     ("w1_reps", None, {"w1_reps": 0}, "w1_reps must be in 1..65536"),
-    ("k_divisor", None, {"k_divisor": 0.0, "n_list": (256,)},
-     "k_divisor must be positive and finite, with n^(1/4)/k_divisor finite at n=256"),
     ("grid_bound", None, {"grid_bound": 1.0}, "grid_bound must be finite and exceed 1"),
     ("cell_cap", "local-law-cells", {"n_list": (16,), "grid_bound": 250.0},
      "grid_bound 250.0 gives more than 1000 cells per axis at n=16"),
@@ -235,12 +226,12 @@ def test_the_earlier_of_two_broken_range_rules_is_reported():
 @pytest.mark.parametrize("kwargs, rule", [
     # the cell-cap rule needs a grid bound the grid_bound rule took, and a size in range
     (dict(kind="local-law-cells", n_list=(0,), grid_bound=1e308), "n_list"),
-    # n^(1/4) of a size past float64 would overflow in the k_divisor rule
-    (dict(kind="full-clt", n_list=(10**400,), k_divisor=1e-300), "n_list"),
+    # n^(1/4) of a size past float64 would overflow in the K rules
+    (dict(kind="partial-growing-K", n_list=(10**400,)), "n_list"),
     (dict(kind="bogus", n_list=(-1,)), "unknown experiment kind"),
     # the K rules come last
     (dict(kind="partial-fixed-K", n_list=(8,), k=9, f_id="bogus"), "unknown test function"),
-], ids=["cell_cap_after_n_list", "k_divisor_after_n_list", "kind_first", "k_rules_last"])
+], ids=["cell_cap_after_n_list", "k_rules_after_n_list", "kind_first", "k_rules_last"])
 def test_a_config_with_several_bad_fields_reports_the_first_rule(kwargs, rule):
     assert _config_error(kwargs).startswith(rule)
 
@@ -271,13 +262,13 @@ def test_numpy_integers_hash_as_python_ints():
 
 
 def test_float_fields_hash_as_python_floats():
-    ints = ExperimentConfig(kind="partial-growing-K", k_divisor=2)
-    assert config_hash(ints) == config_hash(ExperimentConfig(kind="partial-growing-K",
-                                                             k_divisor=2.0))
+    ints = ExperimentConfig(kind="local-law-cells", grid_bound=2)
+    assert config_hash(ints) == config_hash(ExperimentConfig(kind="local-law-cells",
+                                                             grid_bound=2.0))
     float32 = ExperimentConfig(kind="local-law-cells", grid_bound=np.float32(1.5))
     assert config_hash(float32) == config_hash(ExperimentConfig(kind="local-law-cells",
                                                                 grid_bound=1.5))
-    assert type(ints.k_divisor) is float and type(float32.grid_bound) is float
+    assert type(ints.grid_bound) is float and type(float32.grid_bound) is float
 
 
 def test_every_config_annotation_has_a_type_entry():
@@ -461,8 +452,12 @@ def test_thinning_scan_rows_up_to_the_n_max_cap_are_pinned():
 def test_thinning_bound_records_across_k_blocks_are_pinned():
     # the records of n = 1..130; test_thinning_scan_rows_past_n_130_are_pinned pins larger n
     result = run_experiment(ExperimentConfig(kind="thinning-bound", n_max=130))
-    digest = hashlib.sha256(records_jsonl(result).encode("utf-8")).hexdigest()
-    assert digest == "a03e9231f261f1c42c54443bea80009fb607815511b8059b6dfea915059c137e"
+    records = records_jsonl(result)
+    body = records.split("\n", 1)[1]  # the lines below the config header
+    digest = hashlib.sha256(records.encode("utf-8")).hexdigest()
+    assert digest == "37d3c677f6e02b7f68ebad6d1fdc259425c38af8201dbe6d06be2759e0f35a36"
+    digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
+    assert digest == "f0bd9e03c2f76613539128940bca1b558115a6e3faaf5bbde03bd3870228b064"
 
 
 def test_pool_map_keeps_a_few_tasks_per_worker_ahead_in_run_order():
@@ -518,35 +513,42 @@ def test_jsonl_reproducibility_across_threads(pools):
     assert header["config_hash"] == config_hash(ExperimentConfig(**base))
 
 
-# SHA-256 prefixes of records_jsonl and of the summary JSON, to hold across
-# versions: one config per kind, and two with several sizes, one repeated.
+# SHA-256 prefixes of records_jsonl, of its lines below the config header and
+# of the summary JSON, to hold across versions: one config per kind, and two
+# with several sizes, one repeated.  A change to the config's fields moves the
+# first pin alone.
 REPLAY_PINS = {
     "fixed_k": (dict(kind="partial-fixed-K", n_list=(24, 40), k=3, f_id="abs2", replicates=12,
-                     base_seed=7), "ec7c436e53948630", "0b3bb7d6569d1331"),
+                     base_seed=7),
+                "3882d3c5417bef66", "edc01a19d54a185b", "0b3bb7d6569d1331"),
     "growing_k": (dict(kind="partial-growing-K", n_list=(81,), f_id="repow_3", replicates=8,
-                       base_seed=4), "cdbd326e7d742d4a", "c19f5e3b9435f6fa"),
+                       base_seed=4),
+                  "02b5246f6592928a", "6649787f4f7714e0", "c19f5e3b9435f6fa"),
     "full_clt": (dict(kind="full-clt", ensemble=AtomDistribution("rademacher"), n_list=(16, 24),
-                      replicates=6, base_seed=5), "89f9da669eb0b683", "67e9539036c22307"),
+                      replicates=6, base_seed=5),
+                 "3187055e3db0c557", "b2d9f5d8b7749f13", "67e9539036c22307"),
     "w1_sample": (dict(kind="wasserstein-decay", n_list=(9, 16), w1_reps=2, replicates=3,
-                       base_seed=6), "7f655be509d90777", "5e572008350117b7"),
+                       base_seed=6),
+                  "f5fdfe6e4532c498", "d325db7127502f86", "5e572008350117b7"),
     "w1_lattice": (dict(kind="wasserstein-decay", method="lattice", n_list=(16, 25), replicates=2,
-                        base_seed=6), "0ad248ed0ed2be7a", "ba06df51c30aa357"),
+                        base_seed=6),
+                   "0759da6467def002", "aa76f29f7ce4d835", "ba06df51c30aa357"),
     "local_law": (dict(kind="local-law-cells", ensemble=AtomDistribution("real-gaussian"),
                        n_list=(32,), replicates=3, base_seed=8),
-                  "ca3280f9f91ab8a2", "bbba2403eace118d"),
+                  "f9306999ca2a0e39", "87dbb42325577394", "bbba2403eace118d"),
     "thinning": (dict(kind="thinning-bound", n_max=20, replicates=1),
-                 "693b234f00fe4893", "7e9bba2d147acf88"),
+                 "3cce759daa29c119", "bb635aa2430a51ac", "7e9bba2d147acf88"),
     "local_law_sizes": (dict(kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
                              n_list=(128, 64), replicates=1, base_seed=3),
-                        "59f354c5be5a59fd", "d275e26de84b586d"),
+                        "bfdb83bf9e0a9bb1", "b3d543d4ebd4b23d", "d275e26de84b586d"),
     "w1_sizes": (dict(kind="wasserstein-decay", n_list=(64, 128, 64), replicates=2, base_seed=9),
-                 "faf780804a8e81ca", "2b9f3f86e81f9fe2"),
+                 "69642842c7c71128", "78d93b8e5e7c7efd", "2b9f3f86e81f9fe2"),
 }
 
 
-@pytest.mark.parametrize("config, records_pin, summary_pin", REPLAY_PINS.values(),
+@pytest.mark.parametrize("config, records_pin, body_pin, summary_pin", REPLAY_PINS.values(),
                          ids=REPLAY_PINS.keys())
-def test_replay_hashes_are_pinned(pools, config, records_pin, summary_pin):
+def test_replay_hashes_are_pinned(pools, config, records_pin, body_pin, summary_pin):
     def digest(text):
         return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
@@ -555,8 +557,11 @@ def test_replay_hashes_are_pinned(pools, config, records_pin, summary_pin):
         if fresh:
             experiments._SPECTRA.clear()
         result = run_experiment(ExperimentConfig(**config, threads=threads))
+        records = records_jsonl(result)
+        body = records.split("\n", 1)[1]
         summary = json.dumps(result.summary, sort_keys=True, default=str)
-        assert (digest(records_jsonl(result)), digest(summary)) == (records_pin, summary_pin)
+        assert (digest(records), digest(body), digest(summary)) == (records_pin, body_pin,
+                                                                     summary_pin)
     assert pools == ([] if config["kind"] == "thinning-bound" else [2])
 
 
@@ -668,8 +673,9 @@ def test_failed_solve_is_replayed_without_a_second_call(monkeypatch, caplog):
 
 
 def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
-    # 4 replicates x n eigenvalues x 16 bytes: 1 KiB at n=16, 2 KiB more at n=32
-    monkeypatch.setattr(experiments, "_SPECTRA_BUDGET", 2 * 1024)
+    # 4 replicates x (16 n + 448) bytes: 2.75 KiB at n=16, 3.75 KiB more at n=32
+    assert experiments._SPECTRUM_OVERHEAD == 448
+    monkeypatch.setattr(experiments, "_SPECTRA_BUDGET", 4 * 1024)
     base = dict(kind="full-clt", n_list=(16, 32), replicates=4, base_seed=9)
     expected = _outputs(ExperimentConfig(**base, f_id="abs2"))
     experiments._SPECTRA.clear()
@@ -679,6 +685,28 @@ def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
     assert _outputs(ExperimentConfig(**base, f_id="abs2")) == expected
     assert [n for _, n, _ in calls] == [16] * 4 + [32] * 4
 
+
+
+@pytest.mark.parametrize("n, threads", [(2, 1), (64, 1), (2, 2), (64, 2)],
+                         ids=["n2_serial", "n64_serial", "n2_pool", "n64_pool"])
+def test_memo_holds_no_more_than_its_budget(monkeypatch, pools, n, threads):
+    # a run sized just under the budget is stored; a pool's spectra arrive pickled
+    budget = 64 * 1024
+    monkeypatch.setattr(experiments, "_SPECTRA_BUDGET", budget)
+    replicates = budget // (16 * n + experiments._SPECTRUM_OVERHEAD)
+    config = ExperimentConfig(kind="full-clt", n_list=(n,), replicates=replicates,
+                              threads=threads)
+    tracemalloc.start()
+    try:
+        run_experiment(config)
+        with_memo = tracemalloc.get_traced_memory()[0]
+        assert [len(run) for run in experiments._SPECTRA.values()] == [replicates]
+        experiments._SPECTRA.clear()
+        held = with_memo - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert pools == ([] if threads == 1 else [2])
+    assert held <= budget
 
 def test_small_run_at_the_default_threads_builds_no_pool(monkeypatch):
     built = []

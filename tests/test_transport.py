@@ -8,6 +8,7 @@ from scipy.optimize import linear_sum_assignment
 
 from thinspec import transport
 from thinspec.lattice import MIN_N, lattice
+from thinspec.seeding import derive_seed64
 from thinspec.transport import (
     _COST_ROWS,
     GridSpec,
@@ -18,7 +19,6 @@ from thinspec.transport import (
     uniform_disk_sample,
     w1_exact,
     w1_to_disk,
-    w1_to_disk_samples,
 )
 
 
@@ -180,7 +180,7 @@ def test_grid_pairing_overflow_cell_is_bad():
     b = np.array([10.5 + 10.0j])
     result = grid_pairing(a, b, grid)
     assert result.bad_count == 1
-    assert result.per_cell_counts[-1] == (1, 1)  # overflow cell holds both
+    assert cell_counts(a, grid)[-1] == cell_counts(b, grid)[-1] == 1  # overflow cell holds both
 
 
 def test_grid_pairing_dominates_exact():
@@ -215,21 +215,23 @@ def test_grid_pairing_bookkeeping():
     a, b = uniform_disk_sample(n, seed=13), uniform_disk_sample(n, seed=14)
     grid = default_grid(n, 1.25)
     result = grid_pairing(a, b, grid)
-    paired_in_cell = sum(min(na, nb) for na, nb in result.per_cell_counts)
+    counts_a, counts_b = cell_counts(a, grid), cell_counts(b, grid)
+    paired_in_cell = np.minimum(counts_a, counts_b).sum()
     leftover = n - paired_in_cell
-    assert paired_in_cell + leftover == n
-    assert sum(na for na, _ in result.per_cell_counts) == n
-    assert sum(nb for _, nb in result.per_cell_counts) == n
+    assert counts_a.sum() == counts_b.sum() == n
     # bad pairs are exactly the leftovers here (nothing in the overflow cell)
-    assert result.per_cell_counts[-1] == (0, 0)
+    assert counts_a[-1] == counts_b[-1] == 0
     assert result.bad_count == leftover
 
 
-def _coupling_digest(result):
-    """SHA-256 prefix of every grid_pairing output: permutation bytes, value, counts."""
+def _coupling_digest(a, b, grid):
+    """SHA-256 prefix of grid_pairing's output (permutation bytes, value, bad count)
+    and of each cell's (count in a, count in b)."""
+    result = grid_pairing(a, b, grid)
     assert result.permutation.dtype == np.int64
     digest = hashlib.sha256(result.permutation.tobytes())
-    digest.update(repr((result.value, result.bad_count, result.per_cell_counts)).encode())
+    counts = tuple(zip(cell_counts(a, grid).tolist(), cell_counts(b, grid).tolist()))
+    digest.update(repr((result.value, result.bad_count, counts)).encode())
     return digest.hexdigest()[:16]
 
 
@@ -265,10 +267,7 @@ COUPLING_PINS = {
 
 @pytest.mark.parametrize("case", COUPLING_PINS)
 def test_grid_pairing_outputs_are_pinned(case):
-    a, b, grid = _coupling_inputs(case)
-    result = grid_pairing(a, b, grid)
-    assert all(type(x) is int for pair in result.per_cell_counts for x in pair)
-    assert _coupling_digest(result) == COUPLING_PINS[case]
+    assert _coupling_digest(*_coupling_inputs(case)) == COUPLING_PINS[case]
 
 
 @pytest.mark.parametrize("case", COUPLING_PINS)
@@ -280,7 +279,7 @@ def test_grid_pairing_pairs_in_cell_by_index_order(case):
     assert np.array_equal(np.sort(perm), np.arange(perm.size))
     # every cell pairs as many points as both sets have there
     pairs = np.bincount(cells_a[in_cell], minlength=grid.cell_count + 1)
-    assert pairs.tolist() == [min(na, nb) for na, nb in result.per_cell_counts]
+    assert np.array_equal(pairs, np.minimum(cell_counts(a, grid), cell_counts(b, grid)))
     for cell in np.unique(cells_a[in_cell]):
         src = np.flatnonzero(in_cell & (cells_a == cell))
         # the first points of each set in this cell, in ascending index order
@@ -328,12 +327,13 @@ def test_w1_to_disk_point_mass():
 
 
 def test_w1_to_disk_sample_reps_average():
+    # rep r matches against the uniform-disk sample of seed derive_seed64(seed, "disk-rep", r)
     rng = np.random.default_rng(21)
     pts = random_points(rng, 30, 0.4)
-    samples = w1_to_disk_samples(pts, reps=4, seed=11)
-    assert samples.shape == (4,)
-    assert w1_to_disk(pts, method="sample", reps=4, seed=11) == pytest.approx(
-        samples.mean()
-    )
+    values = [w1_exact(pts, uniform_disk_sample(30, derive_seed64(11, "disk-rep", r))).value
+              for r in range(4)]
+    assert w1_to_disk(pts, method="sample", reps=4, seed=11) == np.mean(values)
+    with pytest.raises(ValueError, match="reps must be >= 1"):
+        w1_to_disk(pts, method="sample", reps=0, seed=11)
     with pytest.raises(ValueError):
         w1_to_disk(pts, method="unknown")
