@@ -673,9 +673,9 @@ def test_failed_solve_is_replayed_without_a_second_call(monkeypatch, caplog):
 
 
 def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
-    # 4 replicates x (16 n + 448) bytes: 2.75 KiB at n=16, 3.75 KiB more at n=32
-    assert experiments._SPECTRUM_OVERHEAD == 448
-    monkeypatch.setattr(experiments, "_SPECTRA_BUDGET", 4 * 1024)
+    # n=16's 4 solves alone fit the budget; with n=32's 4 more the run does not
+    monkeypatch.setattr(experiments, "_SPECTRA_BUDGET",
+                        4 * (16 * 16 + experiments._SPECTRUM_OVERHEAD))
     base = dict(kind="full-clt", n_list=(16, 32), replicates=4, base_seed=9)
     expected = _outputs(ExperimentConfig(**base, f_id="abs2"))
     experiments._SPECTRA.clear()
@@ -684,7 +684,6 @@ def test_size_over_the_memo_budget_is_not_stored(monkeypatch):
     calls = _count_solves(monkeypatch)
     assert _outputs(ExperimentConfig(**base, f_id="abs2")) == expected
     assert [n for _, n, _ in calls] == [16] * 4 + [32] * 4
-
 
 
 @pytest.mark.parametrize("n, threads", [(2, 1), (64, 1), (2, 2), (64, 2)],
@@ -707,6 +706,7 @@ def test_memo_holds_no_more_than_its_budget(monkeypatch, pools, n, threads):
         tracemalloc.stop()
     assert pools == ([] if threads == 1 else [2])
     assert held <= budget
+
 
 def test_small_run_at_the_default_threads_builds_no_pool(monkeypatch):
     built = []
