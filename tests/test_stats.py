@@ -275,6 +275,34 @@ def test_ginibre_variance_analytic():
     assert out.fourier_term == pytest.approx(0.5, abs=1e-9)
 
 
+@pytest.mark.parametrize("dist, sigma2, fourth_term", [
+    (AtomDistribution("complex-gaussian"), 0.5, 0.0),
+    (AtomDistribution("real-gaussian"), 1.0, 0.0),
+    (AtomDistribution("rademacher"), 0.5, -0.5),
+    # E xi^4 = 10: the fourth-moment term is 7 * (1/2 - 1)^2 = 7/4
+    (AtomDistribution("custom-discrete", atoms=(math.sqrt(10), -math.sqrt(10), 0.0),
+                      probs=(0.05, 0.05, 0.9)), 2.75, 1.75),
+], ids=["complex-gaussian", "real-gaussian", "rademacher", "sparse"])
+def test_ginibre_variance_fourth_moment_term_for_abs2(dist, sigma2, fourth_term):
+    # the worst error measured was 2.5e-14
+    out = ginibre_variance(function_by_id("abs2"), atom_moments(dist), real_atom=dist.is_real)
+    assert out.sigma2 == pytest.approx(sigma2, abs=1e-13)
+    assert out.fourth_moment_term == pytest.approx(fourth_term, abs=1e-13)
+
+
+@pytest.mark.parametrize("f_id, excess_kurtosis", [
+    ("re", -1.0), ("abs2", -6 / 5), ("repow_2", -3 / 10), ("repow_3", 3 / 7),
+])
+def test_disk_grid_excess_kurtosis(f_id, excess_kurtosis):
+    # exact up to rounding: Re f(U)^4 is a polynomial of degree <= 6 in r^2 and a
+    # trigonometric one of degree <= 12 in the angle (worst error measured 6e-15)
+    z, w = stats._disk_grid(64, 512)
+    values = np.real(function_by_id(f_id).evaluate(z))
+    centered = values - np.dot(w, values)
+    kurtosis = np.dot(w, centered ** 4) / np.dot(w, centered ** 2) ** 2 - 3.0
+    assert kurtosis == pytest.approx(excess_kurtosis, abs=1e-12)
+
+
 def test_ginibre_variance_quadrature_refinement(monkeypatch):
     cg = atom_moments(AtomDistribution("complex-gaussian"))
     for radial, angular, circle, k_max in ((16, 64, 256, 64), (128, 1024, 2048, 512)):
