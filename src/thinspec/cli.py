@@ -61,13 +61,10 @@ _FLAGS = {
                      help="trials per size (default 100)"),
     "--reps": dict(dest="replicates", metavar="REPS", type=int, help="replicates (default 100)"),
     "--method": dict(choices=W1_METHODS, help="disk-distance estimator (default sample)"),
-    "--w1-reps": dict(type=int, help="disk samples averaged per trial (default 1)"),
     "--records": dict(help="also write records JSONL here"),
     "--k": dict(type=int, help="fixed removal count (default 1)"),
     "--growing": dict(dest="kind", action="store_const", const="partial-growing-K",
                       help="use the growing-K rule max(1, floor(n^(1/4)/1.2))"),
-    "--bound": dict(dest="grid_bound", metavar="BOUND", type=float,
-                    help="grid half-side C (default 1.25)"),
     "--n-max": dict(type=int, help="largest population scanned (default 60)"),
     "--atom": dict(choices=BUILTIN_KINDS, default="complex-gaussian"),
 }
@@ -199,7 +196,7 @@ _COMMANDS = {
     "lattice": ("predicted locations CSV (i, re, im, ell, q)", ("--n", "--out"),
                 dict(run=_cmd_lattice)),
     "wasserstein": ("W1 decay experiment; CSV (n, trial, w1, method, seed)",
-                    _EXPERIMENT + ("--trials", "--method", "--w1-reps", "--records"),
+                    _EXPERIMENT + ("--trials", "--method", "--records"),
                     dict(kind="wasserstein-decay")),
     "partial-stats": ("thinned-statistic experiment (JSONL records)",
                       _EXPERIMENT + ("--f", "--k", "--growing", "--reps"),
@@ -207,7 +204,7 @@ _COMMANDS = {
     "full-clt": ("full linear-statistic variance experiment", _EXPERIMENT + ("--f", "--reps"),
                  dict(kind="full-clt")),
     "local-law": ("per-cell count discrepancy vs independent Ginibre",
-                  _EXPERIMENT + ("--trials", "--bound"), dict(kind="local-law-cells")),
+                  _EXPERIMENT + ("--trials",), dict(kind="local-law-cells")),
     "thinning-bound": ("exhaustive removal-overlap bound check",
                        ("--config", "--out", "--summary", "--assert", "--n-max"),
                        dict(kind="thinning-bound")),

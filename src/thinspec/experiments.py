@@ -19,8 +19,11 @@ holds each kind's seed streams, `measure`, `summarize` and `--assert` gate.
 Matrix seeds do not depend on what is measured, so the spectra of the most
 recent run are kept in `_SPECTRA`: a run with the same kind, base seed,
 ensemble, sizes and replicate count draws the same matrices, whatever its f,
-K, method, w1_reps or grid bound, and reads them instead of solving again,
-with the same records.  Any other run solves every matrix and replaces them.
+K or method, and reads them instead of solving again, with the same records.
+Any other run solves every matrix and replaces them.
+
+The local-law grid's half-side is fixed at 1.25 (`default_grid`), and the
+`sample` W1 method matches against one uniform-disk sample per trial.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import gammaln
 
-from .ensembles import AtomDistribution, DistributionError, as_float64, atom_moments, sample_matrix
+from .ensembles import AtomDistribution, DistributionError, atom_moments, sample_matrix
 from .lattice import MIN_N
 from .seeding import derive_seed64
 from .spectral import EigensolverError, eigenvalues, pin_blas_to_one_thread, spectral_radius
@@ -69,15 +72,12 @@ MAX_SKIP_FRACTION = 0.01
 # Caps that keep memory bounded for any accepted config: matrix sizes (the
 # exact-W1 cap; a complex sample at the cap draws 2n^2 float64 normals,
 # 256 MiB), replicates times distinct sizes (a run holds every replicate's
-# arguments and record, up to about 2 KiB each), per-rep W1 values held by a
-# wasserstein replicate, local-law grid cells per axis, and worker processes (a
+# arguments and record, up to about 2 KiB each), and worker processes (a
 # forked pool starts all its workers at once).  thinning-bound's n_max stops
 # where every feasible pmf and binomial is still a normal double, which the
 # scan's filter needs (`_thinning_scan_for_n`).
 MAX_N = DEFAULT_EXACT_CAP
 MAX_RUN_REPLICATES = 1 << 17
-MAX_W1_REPS = 1 << 16
-MAX_CELLS_PER_AXIS = 1000
 MAX_THREADS = 256
 _SCAN_NORMAL_N = 1021
 
@@ -96,8 +96,6 @@ _FIELD_TYPES = {
     "int": ("an integer", _is_integer, int),
     "int | None": ("an integer or null", lambda v: v is None or _is_integer(v),
                    lambda v: v if v is None else int(v)),
-    "float": ("a number", lambda v: _is_integer(v) or isinstance(v, (float, np.floating)),
-              as_float64),
     "bool": ("a boolean", lambda v: isinstance(v, bool), bool),
     "tuple": ("a list of integers",
               lambda v: isinstance(v, (list, tuple)) and all(map(_is_integer, v)),
@@ -130,8 +128,6 @@ class ExperimentConfig:
     base_seed: int = 1
     threads: int = 0  # worker processes; 0: one per usable core
     method: str = "sample"  # wasserstein only: "sample" or "lattice"
-    w1_reps: int = 1
-    grid_bound: float = 1.25
     n_max: int = 60  # thinning-bound only
 
     def __post_init__(self):
@@ -153,7 +149,6 @@ class ExperimentConfig:
         yield self.kind not in KINDS, f"unknown experiment kind {self.kind!r}"
         yield (not self.n_list or min(self.n_list) < 1 or max(self.n_list) > MAX_N,
                f"n_list must be a nonempty list of integers in 1..{MAX_N}")
-        n_top = max(self.n_list)
         yield self.replicates < 1, "replicates must be >= 1"
         yield (self.replicates * len(set(self.n_list)) > MAX_RUN_REPLICATES,
                f"replicates times the distinct sizes of n_list must be at most "
@@ -161,14 +156,6 @@ class ExperimentConfig:
         yield self.base_seed < 0, "base_seed must be nonnegative"
         yield (not 0 <= self.threads <= MAX_THREADS,
                f"threads must be in 0..{MAX_THREADS} (0: one per usable core)")
-        yield not 1 <= self.w1_reps <= MAX_W1_REPS, f"w1_reps must be in 1..{MAX_W1_REPS}"
-        yield not 1 < self.grid_bound < math.inf, "grid_bound must be finite and exceed 1"
-        yield (self.kind == "local-law-cells" and not (
-                   self.grid_bound <= MAX_CELLS_PER_AXIS  # so default_grid takes it
-                   and default_grid(n_top, self.grid_bound, odd=True).cells_per_axis
-                   <= MAX_CELLS_PER_AXIS),
-               f"grid_bound {self.grid_bound} gives more than {MAX_CELLS_PER_AXIS} cells "
-               f"per axis at n={n_top}")
         yield self.method not in W1_METHODS, f"unknown wasserstein method {self.method!r}"
         yield (self.f_id not in BUILTIN_FUNCTIONS,
                f"unknown test function {self.f_id!r}; known: {sorted(BUILTIN_FUNCTIONS)}")
@@ -226,11 +213,6 @@ def config_hash(config: ExperimentConfig) -> str:
     """Provenance hash over the canonical JSON form (threads excluded)."""
     payload = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def derive_seed(base_seed: int, kind: str, n: int, replicate: int, stream_tag: str) -> int:
-    """Collision-resistant per-(experiment, size, replicate, stream) seed."""
-    return derive_seed64(base_seed, kind, n, replicate, stream_tag)
 
 
 @dataclass(frozen=True)
@@ -350,7 +332,7 @@ def _replicate_records(config: ExperimentConfig) -> list:
     sizes = dict.fromkeys(config.n_list)  # a repeated size is solved and measured once
     run = (config.kind, config.base_seed, config.ensemble, tuple(sizes), config.replicates)
     streams = KINDS[config.kind].streams
-    replicates = [(config, n, {name: derive_seed(config.base_seed, config.kind, n, r, tag)
+    replicates = [(config, n, {name: derive_seed64(config.base_seed, config.kind, n, r, tag)
                                for name, tag in streams.items()})
                   for n in sizes for r in range(config.replicates)]
     memo = _SPECTRA.get(run)
@@ -443,14 +425,14 @@ def _measure_full(config, n, spectra, seeds):
 
 
 def _measure_w1(config, n, spectra, seeds):
-    w1 = w1_to_disk(spectra[0].values, config.method, config.w1_reps, seeds["seed_disk"])
+    w1 = w1_to_disk(spectra[0].values, config.method, seeds["seed_disk"])
     return {"method": config.method, "w1": w1}
 
 
 def _measure_cells(config, n, spectra, seeds):
     """Per-cell count discrepancy of X's spectrum against an independent Ginibre one."""
     spec_x, spec_g = spectra
-    grid = default_grid(n, config.grid_bound, odd=True)  # real eigenvalues inside a row
+    grid = default_grid(n, odd=True)  # real eigenvalues inside a row
     live = grid.cell_count  # real cells; the final entry is overflow
     counts_x = cell_counts(spec_x.values, grid)[:live]
     counts_g = cell_counts(spec_g.values, grid)[:live]
@@ -484,7 +466,7 @@ def _fixed_k_row(config, n, rows):
     # sigma2=0 sampler output.
     limit_samples = -limit_sampler_fixed_K(
         f, moments.mean_f, K=k, sigma2=0.0, count=len(rows),
-        seed=derive_seed(config.base_seed, config.kind, n, 0, "limit"),
+        seed=derive_seed64(config.base_seed, config.kind, n, 0, "limit"),
     ).real
     ks_stat, ks_p = ks_two_sample(removed - removed.mean(), limit_samples)
     return {
@@ -517,7 +499,7 @@ def _growing_k_row(config, n, rows):
     centered = rem_re - rem_re.mean()
     gauss = limit_sampler_fixed_K(
         f, moments.mean_f, K=0, sigma2=moments.var_re, count=len(rows),
-        seed=derive_seed(config.base_seed, config.kind, n, 0, "gauss"),
+        seed=derive_seed64(config.base_seed, config.kind, n, 0, "gauss"),
     ).real
     ks_stat, ks_p = ks_two_sample(centered, gauss)
     return {
@@ -578,13 +560,12 @@ def _summarize_w1(config, sizes):
 def _cells_row(config, n, rows):
     """Largest and mean normalized discrepancy, and the grid mass of contained spectra."""
     norm = np.array([r["normalized_discrepancy"] for r in rows])
-    contained = [
-        r for r in rows if max(r["radius_x"], r["radius_g"]) <= config.grid_bound
-    ]
+    bound = default_grid(n, odd=True).bound
+    contained = [r for r in rows if max(r["radius_x"], r["radius_g"]) <= bound]
     return {
         "n": n,
         "trials": len(rows),
-        "grid_bound": config.grid_bound,
+        "grid_bound": bound,
         "max_normalized_discrepancy": float(norm.max()),
         "mean_normalized_discrepancy": float(norm.mean()),
         "contained_trials": len(contained),

@@ -188,13 +188,12 @@ def uniform_disk_sample(count: int, seed: int) -> np.ndarray:
     return disk_points(make_rng(seed), count)
 
 
-def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0) -> float:
+def w1_to_disk(points, method: str = "sample", seed: int = 0) -> float:
     """Estimated W1 from the empirical measure of `points` to the disk law.
 
     method "lattice" matches against the predicted-location lattice (bias =
-    lattice-to-disk distance); method "sample" averages exact matchings
-    against `reps` >= 1 uniform-disk samples, the r-th drawn from seed
-    `derive_seed64(seed, "disk-rep", r)`.
+    lattice-to-disk distance); method "sample" matches exactly against one
+    uniform-disk sample drawn from seed `derive_seed64(seed, "disk-rep", 0)`.
     """
     points = _as_points(points)
     if method == "lattice":
@@ -202,9 +201,6 @@ def w1_to_disk(points, method: str = "sample", reps: int = 1, seed: int = 0) -> 
 
         return w1_exact(points, lattice(points.size).points).value
     if method == "sample":
-        if reps < 1:
-            raise ValueError("reps must be >= 1")
-        refs = (uniform_disk_sample(points.size, derive_seed64(seed, "disk-rep", r))
-                for r in range(reps))
-        return float(np.mean([w1_exact(points, ref).value for ref in refs]))
+        ref = uniform_disk_sample(points.size, derive_seed64(seed, "disk-rep", 0))
+        return w1_exact(points, ref).value
     raise ValueError(f"unknown method {method!r}")

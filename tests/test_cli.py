@@ -354,11 +354,10 @@ def test_exit_code_2_on_wrong_config_value_type(tmp_path, capsys, field, value, 
 
 
 @pytest.mark.parametrize("config, expected", [
-    ({"kind": "full-clt", "grid_bound": 10**400}, "error: grid_bound must be finite and exceed 1"),
     ({"kind": "full-clt", "ensemble": {"kind": "custom-discrete", "atoms": [1, -1],
                                        "probs": [10**400, 0.5]}},
      "error: config field 'ensemble': atoms and probabilities must be finite"),
-], ids=["grid_bound", "ensemble_probs"])
+], ids=["ensemble_probs"])
 def test_exit_code_2_on_an_integer_past_float64(tmp_path, capsys, config, expected):
     # a 401-digit integer literal used to end in an OverflowError traceback
     cfg = tmp_path / "huge.json"
@@ -378,6 +377,7 @@ REMOVED_FLAGS = [
     ("thinning-bound", "--ensemble", "rademacher"), ("thinning-bound", "--n-list", "4"),
     ("thinning-bound", "--f", "abs2"),
     ("wasserstein", "--f", "abs2"), ("local-law", "--f", "abs2"),
+    ("wasserstein", "--w1-reps", "2"), ("local-law", "--bound", "1.5"),
 ]
 REQUIRED = {"sample": ["--n", "2"], "spectrum": ["--n", "2"], "lattice": ["--n", "4"],
             "thinning-bound": ["--n-max", "3"]}
@@ -421,18 +421,18 @@ def test_readme_flag_table_matches_the_parser():
 
 
 @pytest.mark.parametrize("config", [
-    # k_divisor is an unknown key, whatever its value
+    # k_divisor, grid_bound and w1_reps are unknown keys, whatever their value
     {"kind": "partial-growing-K", "k_divisor": 0},
     {"kind": "partial-growing-K", "k_divisor": -1},
     {"kind": "partial-growing-K", "k_divisor": 1e-320},
     {"kind": "partial-growing-K", "k_divisor": float("inf")},
-    {"kind": "partial-growing-K", "k": 0},
     {"kind": "local-law-cells", "grid_bound": 1},
     {"kind": "local-law-cells", "grid_bound": float("inf")},
     {"kind": "local-law-cells", "grid_bound": 1e308},
     {"kind": "local-law-cells", "n_list": [1024], "grid_bound": 1e4},
     {"kind": "wasserstein-decay", "w1_reps": 0},
     {"kind": "wasserstein-decay", "w1_reps": 100000000000},
+    {"kind": "partial-growing-K", "k": 0},
     {"kind": "full-clt", "f": "nope"},
     {"kind": "wasserstein-decay", "n_list": [4097]},
     {"kind": "wasserstein-decay", "method": "lattice", "n_list": [4]},
@@ -446,9 +446,8 @@ def test_readme_flag_table_matches_the_parser():
     {"kind": "full-clt", "n_list": [64], "replicates": 5000, "threads": 5000},
     {"kind": "full-clt", "n_list": [2, 4], "replicates": 65537},
 ], ids=["k_divisor_0", "k_divisor_negative", "k_divisor_1e-320", "k_divisor_infinity",
-        "growing_k_0", "grid_bound_1",
-        "grid_bound_infinity", "grid_bound_1e308", "grid_bound_1e4_n1024", "w1_reps_0",
-        "w1_reps_1e11",
+        "grid_bound_1", "grid_bound_infinity", "grid_bound_1e308", "grid_bound_1e4_n1024",
+        "w1_reps_0", "w1_reps_1e11", "growing_k_0",
         "unknown_f", "wasserstein_above_cap", "lattice_below_min_n", "complex_atom_second_moment",
         "nan_probs", "nan_atom", "threads_negative", "threads_5000", "replicates_above_cap"])
 def test_invalid_config_exits_2_before_any_solve(tmp_path, monkeypatch, capsys, config):
@@ -478,6 +477,18 @@ def test_k_divisor_is_an_unknown_key_and_growing_k_keeps_its_rule(tmp_path, caps
                  "--out", str(out)]) == 0
     records = [json.loads(line) for line in out.read_text().splitlines()[1:]]
     assert [r["k"] for r in records] == [3, 3]  # floor(256^(1/4) / 1.2)
+
+
+@pytest.mark.parametrize("command, config", [
+    ("local-law", {"kind": "local-law-cells", "grid_bound": 1.5}),
+    ("wasserstein", {"kind": "wasserstein-decay", "w1_reps": 2}),
+], ids=["grid_bound", "w1_reps"])
+def test_retired_config_keys_are_unknown_fields(tmp_path, capsys, command, config):
+    cfg = tmp_path / "retired.json"
+    cfg.write_text(json.dumps(config))
+    assert main([command, "--config", str(cfg)]) == 2
+    retired = [key for key in config if key != "kind"]
+    assert capsys.readouterr().err.startswith(f"error: unknown config field(s) {retired}")
 
 
 @pytest.mark.skipif(spectral._openblas_threads() is None,

@@ -25,26 +25,25 @@ from thinspec.experiments import (
     _replicate,
     _thinning_scan_for_n,
     config_hash,
-    derive_seed,
     records_jsonl,
     run_experiment,
 )
+from thinspec.seeding import derive_seed64
 from thinspec.stats import hypergeom_removal_pmf, near_binomial_bound
-from thinspec.transport import default_grid
 
 
 def test_derive_seed_properties():
-    s1 = derive_seed(1, "full-clt", 64, 0, "matrix")
-    assert s1 == derive_seed(1, "full-clt", 64, 0, "matrix")
-    assert s1 != derive_seed(1, "full-clt", 64, 0, "index")
-    assert s1 != derive_seed(1, "full-clt", 64, 1, "matrix")
-    assert s1 != derive_seed(2, "full-clt", 64, 0, "matrix")
+    s1 = derive_seed64(1, "full-clt", 64, 0, "matrix")
+    assert s1 == derive_seed64(1, "full-clt", 64, 0, "matrix")
+    assert s1 != derive_seed64(1, "full-clt", 64, 0, "index")
+    assert s1 != derive_seed64(1, "full-clt", 64, 1, "matrix")
+    assert s1 != derive_seed64(2, "full-clt", 64, 0, "matrix")
     assert 0 <= s1 < 2**64
 
 
 def test_derive_seed_collision_scan():
     seeds = {
-        derive_seed(7, "partial-fixed-K", n, r, tag)
+        derive_seed64(7, "partial-fixed-K", n, r, tag)
         for n in (64, 256)
         for r in range(250_000)
         for tag in ("matrix", "index")
@@ -71,17 +70,6 @@ def test_config_validation():
 @pytest.mark.parametrize("kwargs", [
     dict(kind="partial-growing-K", k=0),
     dict(kind="partial-growing-K", k=2, n_list=(1,), allow_large_k=True),
-    dict(kind="local-law-cells", grid_bound=1.0),
-    dict(kind="local-law-cells", grid_bound=0.5),
-    dict(kind="local-law-cells", grid_bound=math.inf),
-    dict(kind="local-law-cells", grid_bound=math.nan),
-    dict(kind="local-law-cells", grid_bound=1e308),
-    dict(kind="local-law-cells", grid_bound=1e4, n_list=(1024,)),
-    # 2 C n^(1/4) = 999.2 and 1000 cells per axis, which odd rounding makes 1001
-    dict(kind="local-law-cells", grid_bound=249.8, n_list=(16,)),
-    dict(kind="local-law-cells", grid_bound=250.0, n_list=(16,)),
-    dict(kind="wasserstein-decay", w1_reps=0),
-    dict(kind="wasserstein-decay", w1_reps=experiments.MAX_W1_REPS + 1),
     dict(kind="full-clt", f_id="nope"),
     dict(kind="partial-fixed-K", f_id="nope"),
     dict(kind="wasserstein-decay", n_list=(64, 4097)),
@@ -102,39 +90,26 @@ def test_config_validation():
     dict(kind="full-clt", base_seed=1.5),
     dict(kind="full-clt", replicates=True),
     dict(kind="partial-fixed-K", k=2.0),
-    dict(kind="wasserstein-decay", w1_reps="2"),
     dict(kind="thinning-bound", n_max=60.0),
     dict(kind="full-clt", threads=True),
-    # a float, bool, str or ensemble field of another type used to raise TypeError or
-    # AttributeError, or to run: allow_large_k "no" as true; a bool is no number
-    dict(kind="local-law-cells", grid_bound="2"),
-    dict(kind="local-law-cells", grid_bound=None),
+    # a bool, str or ensemble field of another type used to raise TypeError or
+    # AttributeError, or to run: allow_large_k "no" as true
     dict(kind="full-clt", n_list=64),
     dict(kind="full-clt", ensemble="rademacher"),
     dict(kind="full-clt", ensemble={"kind": "rademacher"}),
     dict(kind="full-clt", f_id=["re"]),
     dict(kind=["full-clt"]),
-    dict(kind="local-law-cells", grid_bound=True),
     dict(kind="partial-growing-K", n_list=(16,), k=3, allow_large_k="no"),
-    # an integer past float64's range used to raise OverflowError
-    dict(kind="local-law-cells", grid_bound=10**400),
-    dict(kind="local-law-cells", grid_bound=-10**400),
     # a size whose n^(1/4) is complex or past float64 used to raise TypeError or OverflowError
     dict(kind="full-clt", n_list=(-1,)),
     dict(kind="local-law-cells", n_list=(10**400,)),
-], ids=["growing_k_0", "growing_k_above_n",
-        "grid_bound_1", "grid_bound_below_1", "grid_bound_inf", "grid_bound_nan",
-        "grid_bound_1e308", "grid_bound_1e4_n1024", "grid_bound_249.8_n16",
-        "grid_bound_250_n16", "w1_reps_0", "w1_reps_above_cap",
-        "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
+], ids=["growing_k_0", "growing_k_above_n", "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
         "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
         "local_law_above_cap", "n_max_above_cap", "replicates_above_cap",
         "replicates_times_sizes_above_cap", "threads_negative",
         "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
-        "k_float", "w1_reps_str", "n_max_float", "threads_bool",
-        "grid_bound_str", "grid_bound_none", "n_list_int", "ensemble_str", "ensemble_dict",
-        "f_list", "kind_list", "grid_bound_bool", "allow_large_k_str",
-        "grid_bound_huge_int", "grid_bound_huge_negative_int",
+        "k_float", "n_max_float", "threads_bool", "n_list_int", "ensemble_str",
+        "ensemble_dict", "f_list", "kind_list", "allow_large_k_str",
         "n_list_negative", "n_list_huge_int"])
 def test_config_errors_at_construction(kwargs):
     with pytest.raises(ConfigError):
@@ -149,11 +124,6 @@ def test_configs_at_the_caps_are_accepted():
     ExperimentConfig(kind="full-clt", n_list=(2, 4, 2), replicates=cap // 2)
 
 
-def test_local_law_cap_counts_cells_after_odd_rounding():
-    cfg = ExperimentConfig(kind="local-law-cells", n_list=(16,), grid_bound=249.75)
-    assert default_grid(16, cfg.grid_bound, odd=True).cells_per_axis == 999
-
-
 # ExperimentConfig's range rules in the order it checks them: a name, a kind (None:
 # the rule holds for every kind, shown on full-clt), fields that break that rule
 # alone, and its message.
@@ -165,10 +135,6 @@ RANGE_RULES = [
      "replicates times the distinct sizes of n_list must be at most 131072, got 131073 x 1"),
     ("base_seed", None, {"base_seed": -1}, "base_seed must be nonnegative"),
     ("threads", None, {"threads": 257}, "threads must be in 0..256 (0: one per usable core)"),
-    ("w1_reps", None, {"w1_reps": 0}, "w1_reps must be in 1..65536"),
-    ("grid_bound", None, {"grid_bound": 1.0}, "grid_bound must be finite and exceed 1"),
-    ("cell_cap", "local-law-cells", {"n_list": (16,), "grid_bound": 250.0},
-     "grid_bound 250.0 gives more than 1000 cells per axis at n=16"),
     ("method", None, {"method": "bogus"}, "unknown wasserstein method 'bogus'"),
     ("f", None, {"f_id": "bogus"},
      "unknown test function 'bogus'; known: ['abs2', 'const_1', 'im', 're', 'repow_2', "
@@ -200,8 +166,6 @@ def test_readme_range_rules_state_the_caps():
         "MAX_N": r"`n_list` outside 1\.\.(\d+)",
         "MAX_RUN_REPLICATES": r"distinct sizes in `n_list`, above (\d+)",
         "MAX_THREADS": r"`threads` outside 0\.\.(\d+)",
-        "MAX_W1_REPS": r"`w1_reps` outside 1\.\.(\d+)",
-        "MAX_CELLS_PER_AXIS": r"more than (\d+) cells per axis",
         "_SCAN_NORMAL_N": r"`n_max` outside 1\.\.(\d+)",
     }
     stated = {name: [int(v) for v in re.findall(pattern, rules)]
@@ -224,14 +188,12 @@ def test_the_earlier_of_two_broken_range_rules_is_reported():
 
 
 @pytest.mark.parametrize("kwargs, rule", [
-    # the cell-cap rule needs a grid bound the grid_bound rule took, and a size in range
-    (dict(kind="local-law-cells", n_list=(0,), grid_bound=1e308), "n_list"),
     # n^(1/4) of a size past float64 would overflow in the K rules
     (dict(kind="partial-growing-K", n_list=(10**400,)), "n_list"),
     (dict(kind="bogus", n_list=(-1,)), "unknown experiment kind"),
     # the K rules come last
     (dict(kind="partial-fixed-K", n_list=(8,), k=9, f_id="bogus"), "unknown test function"),
-], ids=["cell_cap_after_n_list", "k_rules_after_n_list", "kind_first", "k_rules_last"])
+], ids=["k_rules_after_n_list", "kind_first", "k_rules_last"])
 def test_a_config_with_several_bad_fields_reports_the_first_rule(kwargs, rule):
     assert _config_error(kwargs).startswith(rule)
 
@@ -259,16 +221,6 @@ def test_numpy_integers_hash_as_python_ints():
                                    base_seed=3)
     assert config_hash(numpy_ints) == config_hash(python_ints)
     assert type(numpy_ints.replicates) is int and type(numpy_ints.n_list[0]) is int
-
-
-def test_float_fields_hash_as_python_floats():
-    ints = ExperimentConfig(kind="local-law-cells", grid_bound=2)
-    assert config_hash(ints) == config_hash(ExperimentConfig(kind="local-law-cells",
-                                                             grid_bound=2.0))
-    float32 = ExperimentConfig(kind="local-law-cells", grid_bound=np.float32(1.5))
-    assert config_hash(float32) == config_hash(ExperimentConfig(kind="local-law-cells",
-                                                                grid_bound=1.5))
-    assert type(ints.grid_bound) is float and type(float32.grid_bound) is float
 
 
 def test_every_config_annotation_has_a_type_entry():
@@ -355,7 +307,7 @@ def test_wasserstein_lattice_method():
 
 def test_local_law_same_seed_has_zero_discrepancy():
     # identical Ginibre draws produce identical spectra, hence zero discrepancy
-    cfg = ExperimentConfig(kind="local-law-cells", n_list=(32,), grid_bound=1.25)
+    cfg = ExperimentConfig(kind="local-law-cells", n_list=(32,))
     record, solved = _replicate((cfg, 32, {"seed_x": 123, "seed_g": 123}))
     assert not isinstance(solved, str)
     assert record["max_cell_discrepancy"] == 0
@@ -455,7 +407,7 @@ def test_thinning_bound_records_across_k_blocks_are_pinned():
     records = records_jsonl(result)
     body = records.split("\n", 1)[1]  # the lines below the config header
     digest = hashlib.sha256(records.encode("utf-8")).hexdigest()
-    assert digest == "37d3c677f6e02b7f68ebad6d1fdc259425c38af8201dbe6d06be2759e0f35a36"
+    assert digest == "c021899f6d29f1101447638e85b2c3994e46e90448a5aace5ab73a5f1dc753ca"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     assert digest == "f0bd9e03c2f76613539128940bca1b558115a6e3faaf5bbde03bd3870228b064"
 
@@ -520,29 +472,28 @@ def test_jsonl_reproducibility_across_threads(pools):
 REPLAY_PINS = {
     "fixed_k": (dict(kind="partial-fixed-K", n_list=(24, 40), k=3, f_id="abs2", replicates=12,
                      base_seed=7),
-                "3882d3c5417bef66", "edc01a19d54a185b", "0b3bb7d6569d1331"),
+                "ca6560b7035bd30a", "edc01a19d54a185b", "0b3bb7d6569d1331"),
     "growing_k": (dict(kind="partial-growing-K", n_list=(81,), f_id="repow_3", replicates=8,
                        base_seed=4),
-                  "02b5246f6592928a", "6649787f4f7714e0", "c19f5e3b9435f6fa"),
+                  "28f5ed7affba215f", "6649787f4f7714e0", "c19f5e3b9435f6fa"),
     "full_clt": (dict(kind="full-clt", ensemble=AtomDistribution("rademacher"), n_list=(16, 24),
                       replicates=6, base_seed=5),
-                 "3187055e3db0c557", "b2d9f5d8b7749f13", "67e9539036c22307"),
-    "w1_sample": (dict(kind="wasserstein-decay", n_list=(9, 16), w1_reps=2, replicates=3,
-                       base_seed=6),
-                  "f5fdfe6e4532c498", "d325db7127502f86", "5e572008350117b7"),
+                 "b93c5ddbfede3b42", "b2d9f5d8b7749f13", "67e9539036c22307"),
+    "w1_sample": (dict(kind="wasserstein-decay", n_list=(9, 16), replicates=3, base_seed=6),
+                  "d3d47e9872032653", "ebf6a460d20dd861", "fbcb66cddfdb531f"),
     "w1_lattice": (dict(kind="wasserstein-decay", method="lattice", n_list=(16, 25), replicates=2,
                         base_seed=6),
-                   "0759da6467def002", "aa76f29f7ce4d835", "ba06df51c30aa357"),
+                   "b349540ad703303b", "aa76f29f7ce4d835", "ba06df51c30aa357"),
     "local_law": (dict(kind="local-law-cells", ensemble=AtomDistribution("real-gaussian"),
                        n_list=(32,), replicates=3, base_seed=8),
-                  "f9306999ca2a0e39", "87dbb42325577394", "bbba2403eace118d"),
+                  "7a3f07281adbfbce", "87dbb42325577394", "bbba2403eace118d"),
     "thinning": (dict(kind="thinning-bound", n_max=20, replicates=1),
-                 "3cce759daa29c119", "bb635aa2430a51ac", "7e9bba2d147acf88"),
+                 "126360d1aa3c7ed8", "bb635aa2430a51ac", "7e9bba2d147acf88"),
     "local_law_sizes": (dict(kind="local-law-cells", ensemble=AtomDistribution("rademacher"),
                              n_list=(128, 64), replicates=1, base_seed=3),
-                        "bfdb83bf9e0a9bb1", "b3d543d4ebd4b23d", "d275e26de84b586d"),
+                        "ea6d783b9b7b4240", "b3d543d4ebd4b23d", "d275e26de84b586d"),
     "w1_sizes": (dict(kind="wasserstein-decay", n_list=(64, 128, 64), replicates=2, base_seed=9),
-                 "69642842c7c71128", "78d93b8e5e7c7efd", "2b9f3f86e81f9fe2"),
+                 "aca0df478ca0de89", "78d93b8e5e7c7efd", "2b9f3f86e81f9fe2"),
 }
 
 
@@ -589,9 +540,8 @@ SWEEPS = {
     "k": [dict(kind="partial-fixed-K", n_list=(16,), k=k) for k in (1, 3, 16)],
     "n_list": [dict(kind="partial-fixed-K", n_list=(12, 16), k=1, f_id=f)
                for f in ("re", "abs2")],
-    "method": [dict(kind="wasserstein-decay", n_list=(9, 16), method=m, w1_reps=w)
-               for m, w in (("sample", 1), ("sample", 2), ("lattice", 1))],
-    "grid_bound": [dict(kind="local-law-cells", n_list=(16,), grid_bound=b) for b in (1.25, 1.5)],
+    "method": [dict(kind="wasserstein-decay", n_list=(9, 16), method=m)
+               for m in ("sample", "lattice")],
 }
 
 
@@ -651,7 +601,7 @@ def test_memo_misses_on_another_matrix_identity(monkeypatch, change):
 
 def test_failed_solve_is_replayed_without_a_second_call(monkeypatch, caplog):
     config = ExperimentConfig(kind="full-clt", n_list=(8,), replicates=100, base_seed=3)
-    bad = derive_seed(3, "full-clt", 8, 7, "matrix")
+    bad = derive_seed64(3, "full-clt", 8, 7, "matrix")
     calls = []
 
     def solve(m, scale):

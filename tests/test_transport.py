@@ -322,18 +322,15 @@ def test_w1_to_disk_lattice_method_identity():
 def test_w1_to_disk_point_mass():
     # W1(delta_0, disk) = E|U| = 2/3
     z = np.zeros(2000, complex)
-    value = w1_to_disk(z, method="sample", reps=1, seed=3)
+    value = w1_to_disk(z, method="sample", seed=3)
     assert value == pytest.approx(2.0 / 3.0, abs=0.02)
 
 
-def test_w1_to_disk_sample_reps_average():
-    # rep r matches against the uniform-disk sample of seed derive_seed64(seed, "disk-rep", r)
+def test_w1_to_disk_sample_matches_one_disk_sample():
+    # the uniform-disk sample of seed derive_seed64(seed, "disk-rep", 0)
     rng = np.random.default_rng(21)
     pts = random_points(rng, 30, 0.4)
-    values = [w1_exact(pts, uniform_disk_sample(30, derive_seed64(11, "disk-rep", r))).value
-              for r in range(4)]
-    assert w1_to_disk(pts, method="sample", reps=4, seed=11) == np.mean(values)
-    with pytest.raises(ValueError, match="reps must be >= 1"):
-        w1_to_disk(pts, method="sample", reps=0, seed=11)
+    ref = uniform_disk_sample(30, derive_seed64(11, "disk-rep", 0))
+    assert w1_to_disk(pts, method="sample", seed=11) == w1_exact(pts, ref).value
     with pytest.raises(ValueError):
         w1_to_disk(pts, method="unknown")
