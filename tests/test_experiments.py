@@ -103,8 +103,8 @@ def test_config_validation():
     # a size whose n^(1/4) is complex or past float64 used to raise TypeError or OverflowError
     dict(kind="full-clt", n_list=(-1,)),
     dict(kind="local-law-cells", n_list=(10**400,)),
-], ids=["growing_k_0", "growing_k_above_n", "unknown_f_full", "unknown_f_partial", "wasserstein_above_exact_cap",
-        "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
+], ids=["growing_k_0", "growing_k_above_n", "unknown_f_full", "unknown_f_partial",
+        "wasserstein_above_exact_cap", "full_clt_above_cap", "partial_fixed_k_above_cap", "partial_growing_k_above_cap",
         "local_law_above_cap", "n_max_above_cap", "replicates_above_cap",
         "replicates_times_sizes_above_cap", "threads_negative",
         "n_list_float", "n_list_bool", "base_seed_bool", "base_seed_float", "replicates_bool",
