@@ -134,10 +134,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    grid = lattice(_size(args, MIN_N))
     rows = (
         (idx, repr(float(z.real)), repr(float(z.imag)), *ring_and_slot(idx))
-        for idx, z in enumerate(grid.points, start=1)
+        for idx, z in enumerate(lattice(_size(args, MIN_N)), start=1)
     )
     _write_csv(args.out, ("i", "re", "im", "ell", "q"), rows)
     return 0

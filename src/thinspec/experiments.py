@@ -11,10 +11,13 @@ a run has fewer replicates to solve than workers, each solve is a task of its
 own, so a replicate's matrices are solved side by side.
 
 Every kind runs the same path: `_solve` samples each matrix and solves it
-scaled, and `_measured` hands a replicate's spectra to the kind's `measure`,
-in the pool worker that solved them or here, where the solves arrive as one
-stream in run order.  The runner summarizes the records per size.  `KINDS`
-holds each kind's seed streams, `measure`, `summarize` and `--assert` gate.
+scaled, and `_measured` hands a replicate's spectra to the kind's `measure`.
+A replicate is measured where it is solved, by `_replicate` in a pool worker
+or in this process.  Spectra read from the memo, or solved as tasks of their
+own, arrive here without a record, as one stream in run order, and only they
+are measured apart from their solves.  The runner summarizes the records per
+size.  `KINDS` holds each kind's seed streams, `measure`, `summarize` and
+`--assert` gate.
 
 Matrix seeds do not depend on what is measured, so the spectra of the most
 recent run are kept in `_SPECTRA`: a run with the same kind, base seed,
@@ -307,7 +310,7 @@ def _measured(config: ExperimentConfig, n: int, seeds: dict, solved: list):
 
 
 def _replicate(args):
-    """One replicate sampled, solved and measured: the pool task that measures in its worker."""
+    """One replicate sampled, solved and measured: the task of a serial run and of a pool worker."""
     config, n, seeds = args
     return _measured(config, n, seeds, [_solve(a) for a in _solves(config, n, seeds)])
 
@@ -316,15 +319,15 @@ def _replicate_records(config: ExperimentConfig) -> list:
     """(n, records) per size of n_list, records in replicate order, failed solves dropped.
 
     A run with the same kind, base seed, ensemble, sizes and replicate count
-    as the memo's run draws the same matrices, and their spectra are measured
-    here.  Any other run solves every matrix, and its solves replace the memo
-    if they fit _SPECTRA_BUDGET.  Its matrices, of all sizes, are solved here
-    if their work is below _POOL_MIN_WORK, else in one pool of up to `threads`
-    worker processes (0: one per usable core) and no more than there are
-    matrices.  A pool task is a replicate, measured in the worker, or one
-    solve when there are fewer replicates than workers.  Otherwise the solves
-    are one stream in run order, memoized, solved here or by the pool, that
-    is measured here.  Outcomes are read a size at a time in n_list order,
+    as the memo's run draws the same matrices and reads their spectra.  Any
+    other run solves every matrix, and its solves replace the memo if they fit
+    _SPECTRA_BUDGET.  Its matrices, of all sizes, are solved here if their work
+    is below _POOL_MIN_WORK, else in one pool of up to `threads` worker
+    processes (0: one per usable core) and no more than there are matrices.
+    Serial or pooled, a task is one replicate (`_replicate`), measured where
+    it is solved, or in a pool one solve when there are fewer replicates than
+    workers.  Spectra read from the memo or solved one per task arrive as one
+    stream in run order and are measured here.  Outcomes are read a size at a time in n_list order,
     with _TASKS_PER_WORKER tasks per worker submitted ahead.  Raises
     SkipBudgetError at the first size where more than MAX_SKIP_FRACTION of
     the replicates failed, and cancels the queued tasks.
@@ -340,27 +343,26 @@ def _replicate_records(config: ExperimentConfig) -> list:
     per_replicate = len(KINDS[config.kind].solves)
     nbytes = sum(16 * n + _SPECTRUM_OVERHEAD for n in sizes) * config.replicates * per_replicate
     kept = [] if nbytes <= _SPECTRA_BUDGET else None  # the solves to store, in run order
-    solves = [] if memo else [a for args in replicates for a in _solves(*args)]
     workers = 1
-    if len(solves) > 1 and sum(n ** 3 for _, n, _ in solves) >= _POOL_MIN_WORK:
-        workers = min(config.threads or _usable_cores(), len(solves))
+    work = config.replicates * per_replicate * sum(n ** 3 for n in sizes)
+    if not memo and work >= _POOL_MIN_WORK:
+        workers = min(config.threads or _usable_cores(), len(replicates) * per_replicate)
     pool = None
     try:
         if workers > 1:
             pool = ProcessPoolExecutor(max_workers=workers, mp_context=_POOL_CONTEXT,
                                        initializer=pin_blas_to_one_thread)
-        if pool is not None and len(replicates) >= workers:
-            # a measure's working memory (an n=1024 W1 sample's 8 MiB cost) stays in the worker
-            outcomes = _pool_map(pool, _replicate, replicates, workers)
-        else:
-            if memo:
-                spectra = iter(memo)
-            elif pool is None:
-                spectra = map(_solve, solves)
-            else:
-                spectra = _pool_map(pool, _solve, solves, workers)
+        if memo or len(replicates) < workers:
+            # spectra without their records: measured here as one stream in run order
+            spectra = iter(memo) if memo else _pool_map(
+                pool, _solve, (a for args in replicates for a in _solves(*args)), workers)
             outcomes = (_measured(*args, list(islice(spectra, per_replicate)))
                         for args in replicates)
+        elif pool is None:
+            outcomes = map(_replicate, replicates)
+        else:
+            # a measure's working memory (an n=1024 W1 sample's 8 MiB cost) stays in the worker
+            outcomes = _pool_map(pool, _replicate, replicates, workers)
         by_n = {n: _size_records(config, n, outcomes, kept) for n in sizes}
         if kept is not None:
             for spectrum in (s for s in kept if not isinstance(s, str)):

@@ -34,12 +34,6 @@ class LatticeParams:
         return self.n - self.boundary_count
 
 
-@dataclass(frozen=True)
-class PredictedLattice:
-    params: LatticeParams
-    points: np.ndarray  # length n, complex128
-
-
 def lattice_params(n: int) -> LatticeParams:
     """(sqrt_ceil, boundary_count) for n >= 9; sqrt_ceil is n's ring under `ring_and_slot`."""
     if n < MIN_N:
@@ -76,12 +70,12 @@ def predicted_location(i: int, n: int) -> complex:
     return complex(radius * math.cos(angle), radius * math.sin(angle))
 
 
-def lattice(n: int) -> PredictedLattice:
-    """All n predicted locations, index order 1..n; rings and slots from `ring_and_slot`."""
-    params = lattice_params(n)
+def lattice(n: int) -> np.ndarray:
+    """The n predicted locations, complex128 in index order 1..n, by `ring_and_slot`."""
+    formula_count = lattice_params(n).formula_count
     ring, slot = np.array([ring_and_slot(i) for i in range(1, n + 1)], dtype=np.int64).T
     radius = (ring - 1) / math.sqrt(n)
     angle = 2.0 * np.pi * slot / (2 * ring - 1)
     points = radius * np.exp(1j * angle)
-    points[params.formula_count:] = 1.0
-    return PredictedLattice(params=params, points=points)
+    points[formula_count:] = 1.0
+    return points

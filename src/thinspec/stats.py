@@ -26,38 +26,23 @@ class FunctionLookupError(KeyError):
     __str__ = Exception.__str__  # the message itself, not KeyError's repr of it
 
 
-@dataclass(frozen=True)
-class TestFunction:
-    """Complex-plane test function.
-
-    `evaluate` must accept complex ndarrays; `ginibre_variance` rejects an f
-    whose values have a nonzero imaginary part.
-    """
-
-    __test__ = False  # keep pytest from collecting the domain type
-
-    id: str
-    evaluate: Callable[[np.ndarray], np.ndarray]
+# A test function f of the statistic sum_i f(lambda_i).  It takes complex
+# ndarrays; `ginibre_variance` rejects an f whose values have a nonzero
+# imaginary part.
+TestFunction = Callable[[np.ndarray], np.ndarray]
 
 
 def _repow(k: int) -> TestFunction:
-    def evaluate(z, k=k):
-        return np.real(np.asarray(z, dtype=np.complex128) ** k)
-
-    return TestFunction(id=f"repow_{k}", evaluate=evaluate)
+    return lambda z: np.real(np.asarray(z, dtype=np.complex128) ** k)
 
 
 BUILTIN_FUNCTIONS: dict[str, TestFunction] = {
-    f.id: f
-    for f in (
-        TestFunction(id="const_1",
-                     evaluate=lambda z: np.ones_like(np.asarray(z), dtype=np.float64)),
-        TestFunction(id="re", evaluate=lambda z: np.real(z)),
-        TestFunction(id="im", evaluate=lambda z: np.imag(z)),
-        TestFunction(id="abs2", evaluate=lambda z: np.abs(z) ** 2),
-        _repow(2),
-        _repow(3),
-    )
+    "const_1": lambda z: np.ones_like(np.asarray(z), dtype=np.float64),
+    "re": np.real,
+    "im": np.imag,
+    "abs2": lambda z: np.abs(z) ** 2,
+    "repow_2": _repow(2),
+    "repow_3": _repow(3),
 }
 
 
@@ -96,7 +81,7 @@ def linear_statistic(s: ComplexSpectrum, f: TestFunction) -> complex:
     """Sum of f over the spectrum (uncentered), exactly rounded."""
     if not s.scaled:
         raise ValueError("linear statistics are defined on scaled spectra")
-    return _exact_sum(np.asarray(f.evaluate(s.values)))
+    return _exact_sum(np.asarray(f(s.values)))
 
 
 def partial_statistic(s: ComplexSpectrum, f: TestFunction, index_set: IndexSet
@@ -112,7 +97,7 @@ def partial_statistic(s: ComplexSpectrum, f: TestFunction, index_set: IndexSet
         raise ValueError(f"index set population {index_set.n} != spectrum size {s.n}")
     if not s.scaled:
         raise ValueError("linear statistics are defined on scaled spectra")
-    terms = np.asarray(f.evaluate(s.values), dtype=np.complex128)
+    terms = np.asarray(f(s.values), dtype=np.complex128)
     mask = np.zeros(s.n, dtype=bool)
     mask[index_set.indices] = True
     removed = _exact_sum(terms[mask])
@@ -226,7 +211,7 @@ def _disk_grid(radial_nodes: int, angular_nodes: int):
 
 def _moments_on_grid(f: TestFunction, radial_nodes: int, angular_nodes: int):
     z, w = _disk_grid(radial_nodes, angular_nodes)
-    vals = np.asarray(f.evaluate(z), dtype=np.complex128)
+    vals = np.asarray(f(z), dtype=np.complex128)
     re, im = vals.real, vals.imag
     mean = complex(np.dot(w, re), np.dot(w, im))
     e_re2 = float(np.dot(w, re * re))
@@ -311,16 +296,15 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool) -> VarianceBreak
         raise ValueError("complex-atom formula requires E[xi^2] = 0")
 
     z, w = _disk_grid(_RADIAL_NODES, _ANGULAR_NODES)
-    values = np.asarray(f.evaluate(z))
+    values = np.asarray(f(z))
     if np.any(np.imag(values)):
-        raise ValueError("the Gaussian-variance formula applies to real-valued f only; "
-                         f"{f.id} has nonzero imaginary parts")
+        raise ValueError("the Gaussian-variance formula applies to real-valued f only")
     mean_f = float(np.dot(w, np.real(values)))  # = (1/pi) int_{|z|<1} f
 
     if real_atom:
         def sym_evaluate(x):
             x = np.asarray(x, dtype=np.complex128)
-            return 0.5 * (np.asarray(f.evaluate(x)) + np.asarray(f.evaluate(np.conj(x))))
+            return 0.5 * (np.asarray(f(x)) + np.asarray(f(np.conj(x))))
 
         grad_scale, fourier_scale = 0.5, 1.0
         fourth_factor = moments.abs_fourth - 3.0
@@ -328,7 +312,7 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool) -> VarianceBreak
     else:
         grad_scale, fourier_scale = 0.25, 0.5
         fourth_factor = moments.abs_fourth - 2.0
-        spectral_evaluate = f.evaluate
+        spectral_evaluate = f
 
     grad_term = grad_scale * float(np.dot(w, _fd_gradient_sq(spectral_evaluate, z)))
 
@@ -337,7 +321,7 @@ def ginibre_variance(f: TestFunction, moments, real_atom: bool) -> VarianceBreak
     fourier_term = fourier_scale * float(energies.sum())
     tail = float(energies[np.abs(k) > _K_MAX // 10].sum())
 
-    _, base_coeffs = _circle_coefficients(f.evaluate, 0)
+    _, base_coeffs = _circle_coefficients(f, 0)
     fhat0 = float(base_coeffs[0].real)
     fourth_term = fourth_factor * (mean_f - fhat0) ** 2
 
@@ -371,7 +355,7 @@ def limit_sampler_fixed_K(f: TestFunction, mean_f: complex, K: int, sigma2: floa
     samples = gauss.astype(np.complex128)
     if K > 0:
         u = disk_points(rng, (count, K))
-        deviations = np.asarray(f.evaluate(u), dtype=np.complex128) - mean_f
+        deviations = np.asarray(f(u), dtype=np.complex128) - mean_f
         samples = samples - deviations.sum(axis=1)
     return samples
 

@@ -199,7 +199,7 @@ def w1_to_disk(points, method: str = "sample", seed: int = 0) -> float:
     if method == "lattice":
         from .lattice import lattice
 
-        return w1_exact(points, lattice(points.size).points).value
+        return w1_exact(points, lattice(points.size)).value
     if method == "sample":
         ref = uniform_disk_sample(points.size, derive_seed64(seed, "disk-rep", 0))
         return w1_exact(points, ref).value

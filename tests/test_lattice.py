@@ -63,29 +63,31 @@ def test_ring_and_slot():
 
 def test_bulk_matches_scalar():
     for n in (9, 16, 100, 257):
-        points = lattice(n).points
+        points = lattice(n)
         for i in (1, 2, n // 2, n):
             assert points[i - 1] == predicted_location(i, n)
 
 
 def test_point_counts():
-    grid = lattice(16)
-    assert np.sum(grid.points == 1) >= 12  # the 12 boundary points
-    assert grid.params.formula_count == 4
-    grid = lattice(100)
-    assert grid.params.formula_count == 64
-    assert np.sum(grid.points[64:] == 1) == 36
+    points = lattice(16)
+    assert isinstance(points, np.ndarray)
+    assert points.dtype == np.complex128 and points.shape == (16,)
+    assert np.sum(points == 1) >= 12  # the 12 boundary points
+    assert lattice_params(16).formula_count == 4
+    points = lattice(100)
+    assert lattice_params(100).formula_count == 64
+    assert np.sum(points[64:] == 1) == 36
 
 
 def test_modulus_at_most_one():
     for n in (9, 50, 256, 1234):
-        assert np.all(np.abs(lattice(n).points) <= 1.0 + 1e-15)
+        assert np.all(np.abs(lattice(n)) <= 1.0 + 1e-15)
 
 
 def test_ring_structure():
     # points sharing a ring share a modulus and spread over 2*ring-1 angles
     n = 100
-    points = lattice(n).points
+    points = lattice(n)
     for ring in (2, 3, 5, 8):
         lo, hi = (ring - 1) ** 2 + 1, ring * ring
         if hi > lattice_params(n).formula_count:
@@ -101,10 +103,10 @@ def test_ring_structure():
 
 def test_formula_point_modulus_rule():
     n = 400
-    grid = lattice(n)
-    for i in (1, 5, 37, grid.params.formula_count):
+    points = lattice(n)
+    for i in (1, 5, 37, lattice_params(n).formula_count):
         ring, _ = ring_and_slot(i)
-        assert abs(grid.points[i - 1]) == pytest.approx(
+        assert abs(points[i - 1]) == pytest.approx(
             (ring - 1) / math.sqrt(n), abs=1e-15
         )
 
@@ -116,7 +118,7 @@ def test_lattice_disk_distance_decreases():
     means = []
     for n in (16, 64, 256):
         vals = [
-            w1_exact(lattice(n).points, uniform_disk_sample(n, 77 + r)).value
+            w1_exact(lattice(n), uniform_disk_sample(n, 77 + r)).value
             for r in range(3)
         ]
         means.append(np.mean(vals))

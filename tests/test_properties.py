@@ -66,7 +66,7 @@ def test_grid_coupling_dominates_exact_w1(data):
 @pytest.mark.parametrize("source", ["ginibre", "disk"])
 def test_spiral_coupling_dominates_exact_w1(source, n):
     # the i-th point in spiral order paired with the i-th predicted location
-    points = lattice(n).points
+    points = lattice(n)
     for seed in range(3):
         if source == "ginibre":
             values = eigenvalues(sample_matrix(AtomDistribution("complex-gaussian"), n, seed),

@@ -15,7 +15,6 @@ from thinspec.stats import (
     BUILTIN_FUNCTIONS,
     FunctionLookupError,
     IndexSet,
-    TestFunction,
     _fd_gradient_sq,
     disk_moments,
     ginibre_variance,
@@ -66,11 +65,11 @@ def test_builtin_gradients_match_finite_differences():
     assert EXACT_GRADIENTS.keys() == BUILTIN_FUNCTIONS.keys()
     rng = np.random.default_rng(2)
     z = 0.9 * (rng.standard_normal(500) + 1j * rng.standard_normal(500))
-    for f in BUILTIN_FUNCTIONS.values():
-        fx, fy = EXACT_GRADIENTS[f.id](z)
+    for f_id, f in BUILTIN_FUNCTIONS.items():
+        fx, fy = EXACT_GRADIENTS[f_id](z)
         exact = np.asarray(fx, float) ** 2 + np.asarray(fy, float) ** 2
-        fd = _fd_gradient_sq(f.evaluate, z)
-        assert np.allclose(fd, exact, atol=1e-6, rtol=1e-6), f.id
+        fd = _fd_gradient_sq(f, z)
+        assert np.allclose(fd, exact, atol=1e-6, rtol=1e-6), f_id
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +243,15 @@ def test_disk_moments_analytic_values():
 
 def test_disk_moments_match_monte_carlo():
     u = uniform_disk_sample(1_000_000, seed=17)
-    for f in BUILTIN_FUNCTIONS.values():
+    for f_id, f in BUILTIN_FUNCTIONS.items():
         m = disk_moments(f)
-        vals = np.asarray(f.evaluate(u))
+        vals = np.asarray(f(u))
         re = vals.real
         se_mean = max(re.std() / 1000.0, 1e-9)
-        assert abs(re.mean() - m.mean_f.real) <= 4 * se_mean, f.id
+        assert abs(re.mean() - m.mean_f.real) <= 4 * se_mean, f_id
         centered = (re - re.mean()) ** 2
         se_var = max(centered.std() / 1000.0, 1e-9)
-        assert abs(centered.mean() - m.var_re) <= 4 * se_var, f.id
+        assert abs(centered.mean() - m.var_re) <= 4 * se_var, f_id
 
 
 def test_ginibre_variance_analytic():
@@ -297,7 +296,7 @@ def test_disk_grid_excess_kurtosis(f_id, excess_kurtosis):
     # exact up to rounding: Re f(U)^4 is a polynomial of degree <= 6 in r^2 and a
     # trigonometric one of degree <= 12 in the angle (worst error measured 6e-15)
     z, w = stats._disk_grid(64, 512)
-    values = np.real(function_by_id(f_id).evaluate(z))
+    values = np.real(function_by_id(f_id)(z))
     centered = values - np.dot(w, values)
     kurtosis = np.dot(w, centered ** 4) / np.dot(w, centered ** 2) ** 2 - 3.0
     assert kurtosis == pytest.approx(excess_kurtosis, abs=1e-12)
@@ -315,7 +314,7 @@ def test_ginibre_variance_quadrature_refinement(monkeypatch):
 
 def test_ginibre_variance_tail_warning_for_rough_function():
     # a jump on the circle makes |k||fhat(k)|^2 ~ 1/k: truncation suspect
-    sign_re = TestFunction(id="sign_re", evaluate=lambda z: np.sign(np.real(z)))
+    sign_re = lambda z: np.sign(np.real(z))  # noqa: E731
     cg = atom_moments(AtomDistribution("complex-gaussian"))
     out = ginibre_variance(sign_re, cg, real_atom=False)
     assert out.warning is not None
@@ -345,7 +344,7 @@ def test_quadratures_run_on_one_blas_thread_and_restore_the_callers(monkeypatch,
 def test_ginibre_variance_rejects_bad_inputs():
     cg = atom_moments(AtomDistribution("complex-gaussian"))
     # complex values are found on the grid; no flag has to say so (z^2 gave sigma2 ~ 1.0)
-    complex_f = TestFunction(id="z2", evaluate=lambda z: np.asarray(z) ** 2)
+    complex_f = lambda z: np.asarray(z) ** 2  # noqa: E731
     for real_atom in (False, True):
         with pytest.raises(ValueError, match="real-valued"):
             ginibre_variance(complex_f, cg, real_atom=real_atom)

@@ -79,7 +79,7 @@ def test_row_blocked_cost_gives_the_same_matching(n):
     rng = np.random.default_rng(n)
     a = random_points(rng, n)
     # duplicate points: the lattice pins its last points to z = 1
-    b = lattice(n).points if n >= MIN_N else np.ones(n, dtype=complex)
+    b = lattice(n) if n >= MIN_N else np.ones(n, dtype=complex)
     result = w1_exact(a, b)  # first, so its cost cannot reuse the reference's memory
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
@@ -244,7 +244,7 @@ def _coupling_inputs(case):
         a = np.repeat(pts(5, 0.5), 4)
         return a, rng.permutation(a) + 0.01, default_grid(20)
     if case == "lattice_pins":  # b's last points all sit at z = 1
-        return pts(64, 0.6), lattice(64).points, default_grid(64, odd=True)
+        return pts(64, 0.6), lattice(64), default_grid(64, odd=True)
     if case == "overflow":  # many points of both sets outside the grid
         return pts(50, 1.5), pts(50, 1.5), default_grid(50, 1.1)
     if case == "unequal":  # a crowds the middle cells, b spreads and shifts
@@ -315,7 +315,7 @@ def test_uniform_disk_sample_statistics():
 def test_w1_to_disk_lattice_method_identity():
     from thinspec.lattice import lattice
 
-    pts = lattice(64).points
+    pts = lattice(64)
     assert w1_to_disk(pts, method="lattice") == 0.0
 
 
